@@ -14,9 +14,11 @@ from .dynamics import (PotentialSpec, ShootingParams, ThreeBodyState, Vec2,
                        accelerations, angular_momentum, center_of_mass,
                        isosceles_state, linear_momentum, pair_force,
                        pair_potential, total_energy)
+# The function `integrate` is not re-exported: the name `fig8.integrate`
+# stays the submodule, so `import fig8.integrate as m` binds the module.
 from .integrate import (EventNotFound, IntegrationError, IntegratorConfig,
                         StiffnessFailure, TrajectoryFailure, TrajectorySegment,
-                        collinearity, integrate, integrate_to_collinear)
+                        collinearity, integrate_to_collinear)
 from .shooting import (ContourGrid, NewtonDivergence, ResidualSample,
                        SingularJacobian, SolutionRecord, SolverError,
                        find_seeds, newton_solve, residuals, scan_grid)
@@ -28,7 +30,7 @@ __all__ = [
     "angular_momentum", "linear_momentum", "center_of_mass", "isosceles_state",
     "IntegratorConfig", "TrajectorySegment", "IntegrationError",
     "TrajectoryFailure", "StiffnessFailure", "EventNotFound",
-    "collinearity", "integrate", "integrate_to_collinear",
+    "collinearity", "integrate_to_collinear",
     "ResidualSample", "ContourGrid", "SolutionRecord", "SolverError",
     "NewtonDivergence", "SingularJacobian",
     "residuals", "scan_grid", "find_seeds", "newton_solve",

@@ -1,21 +1,34 @@
 """Adaptive propagation of the three-body equations of motion.
 
-Wraps an explicit 8(5,3) embedded Runge-Kutta stepper with dense output
-(scipy's DOP853) behind the artifact's interfaces: error-controlled
-integration to a fixed time, per-step dense interpolants, near-collision
-failure detection, and localization of the first collinearity event by
-sign monitoring plus Brent refinement on the interpolant.
+The stepper is DOP853, the explicit 8(5,3) embedded Runge-Kutta pair with
+its 7th-order dense output (Hairer, Norsett & Wanner, *Solving ODEs I*,
+II.5-II.6). Its step loop lives in this module. The loop repeats the
+arithmetic of scipy's `DOP853` solver one operation at a time: the stage
+sums, the initial-step rule, the error norm, the step controller, the
+clip at the end time, and the dense-output rows and Horner sum. So it
+takes the same steps, makes the same right-hand-side calls and returns
+the same bits, without the solver object's per-step overhead. scipy
+supplies the tableau (`scipy.integrate._ivp.dop853_coefficients`) and
+`brentq`.
+
+On that stepper: error-controlled integration to a fixed time, per-step
+dense interpolants, near-collision failure detection, and localization
+of the first collinearity event. The event is found by the sign of the
+collinearity function at four probes per accepted step, at 0.25, 0.625,
+0.90625 and 1.0 of the step (see `_EVENT_PROBES`), and refined by Brent's
+method on the step's interpolant.
 
 Single trajectories integrate sequentially; distinct trajectories share
 no mutable state and may run concurrently.
 """
 
 import math
+import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853
+from scipy.integrate._ivp import dop853_coefficients as _dop
 from scipy.optimize import brentq
 
 from .dynamics import PotentialSpec, ThreeBodyState
@@ -73,7 +86,15 @@ class IntegratorConfig:
 
 
 class IntegrationError(Exception):
-    """Base for trajectory propagation failures."""
+    """Base for trajectory propagation failures.
+
+    `params` carries the launch parameters of the failed trajectory when
+    the raiser knows them, else None.
+    """
+
+    def __init__(self, *args, params=None):
+        super().__init__(*args)
+        self.params = params
 
 
 class TrajectoryFailure(IntegrationError):
@@ -215,43 +236,207 @@ def _min_pair_dist_sq(y) -> float:
     return min(d01, d02, d12)
 
 
-# interior probe offsets per accepted step for event sign monitoring
+# DOP853 tableau. Rows of the stage array K: 0..11 the step's stages, 12
+# the derivative at the step end, 13..15 the dense output's extra stages.
+_N_STAGES = _dop.N_STAGES
+_N_ROWS = _dop.N_STAGES_EXTENDED
+_STEP_STAGES = [(s, _dop.A[s, :s], _dop.C[s]) for s in range(1, _N_STAGES)]
+_DENSE_STAGES = [(s, _dop.A[s, :s], _dop.C[s])
+                 for s in range(_N_STAGES + 1, _N_ROWS)]
+
+# step controller of scipy's RungeKutta solvers
+_ERROR_ORDER = 7
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10
+_ERROR_EXPONENT = -1 / (_ERROR_ORDER + 1)
+_RTOL_FLOOR = 100 * np.finfo(float).eps
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _initial_step(rhs, y0, f0, t_bound, max_step, rtol, atol) -> float:
+    """First step size from t = 0 (Hairer et al. II.4, as scipy chooses it)."""
+    interval_length = float(t_bound)
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    f1 = np.array(rhs(h0, (y0 + h0 * f0).tolist()))
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / (_ERROR_ORDER + 1))
+    return float(min(100 * h0, h1, interval_length, max_step))
+
+
+def _dense_sum(F, y_old, x, y):
+    """Dense-output value at the step fractions x, summed into a zeroed y.
+
+    The Horner scheme of scipy's Dop853DenseOutput, operation for
+    operation, so that a row of an array evaluation equals the scalar
+    evaluation at that time bit for bit.
+    """
+    xm = 1 - x
+    for f, w in zip(F[::-1], (x, xm, x, xm, x, xm, x)):
+        y += f
+        y *= w
+    y += y_old
+    return y
+
+
+class _StepInterpolant:
+    """DOP853 dense output on one accepted step [t_old, t]."""
+
+    __slots__ = ("t_old", "h", "y_old", "F")
+
+    def __init__(self, t_old: float, t: float, y_old: np.ndarray, F: np.ndarray):
+        self.t_old = t_old
+        self.h = t - t_old
+        self.y_old = y_old
+        self.F = F
+
+    def __call__(self, t):
+        """Flat 12-vector at a scalar t; shape (12, n) for n times."""
+        if np.ndim(t) == 0:
+            return _dense_sum(self.F, self.y_old, (t - self.t_old) / self.h,
+                              np.zeros(12))
+        x = (np.asarray(t, dtype=float) - self.t_old) / self.h
+        return _dense_sum(self.F, self.y_old, x[:, None],
+                          np.zeros((x.size, 12))).T
+
+
+# Event sign monitoring per accepted step. Each probe moves this fraction
+# of the way from the previous probe (the last one of the step before, at
+# first) to the step end, so the probes sit at 0.25, 0.625, 0.90625 and
+# 1.0 of the step, not at the quarters. Other offsets would move every
+# event time, so they stay as they are.
 _EVENT_PROBES = (0.25, 0.5, 0.75, 1.0)
+
+
+def _probe_times(prev_t: float, t: float) -> list[float]:
+    """Probe times of the step ending at t, after a probe at prev_t."""
+    out = []
+    for frac in _EVENT_PROBES:
+        prev_t = prev_t + frac * (t - prev_t)
+        out.append(prev_t)
+    return out
 
 
 def _propagate(state0: ThreeBodyState, spec: PotentialSpec, cfg: IntegratorConfig,
                t_bound: float, find_collinear: bool):
-    """Shared stepping driver.
+    """Shared stepping driver: DOP853 steps from t = 0 towards t_bound.
 
     Returns (segment, t_event or None, y_event or None). Raises on
-    near-collision, stepper breakdown, or (when event hunting) a missing
+    near-collision, step-size underflow, or (when event hunting) a missing
     sign change before t_bound.
     """
-    y0 = state0.to_array()
+    y = state0.to_array()
+    if not np.isfinite(y).all():
+        raise ValueError("initial state must be finite")
+    max_step = cfg.max_step
+    if max_step <= 0:
+        raise ValueError("max_step must be positive")
+    rtol, atol = cfg.rel_tol, cfg.abs_tol
+    if rtol < _RTOL_FLOOR:
+        warnings.warn(f"rel_tol raised to {_RTOL_FLOOR}", stacklevel=3)
+        rtol = _RTOL_FLOOR
     rhs = make_rhs(spec)
-    solver = DOP853(rhs, 0.0, y0, t_bound, rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                    max_step=cfg.max_step)
+
+    # One stage array for the whole run. np.dot on the views K[:s].T sums
+    # in the same order as scipy's solver, which uses the same layout.
+    K = np.empty((_N_ROWS, 12))
+    KT = [K[:s].T for s in range(_N_ROWS + 1)]
+    step_stages = [(K[s], KT[s], a, c) for s, a, c in _STEP_STAGES]
+    dense_stages = [(K[s], KT[s], a, c) for s, a, c in _DENSE_STAGES]
+    k_first, k_end = K[0], K[_N_STAGES]
+    kt_sol, kt_err = KT[_N_STAGES], KT[_N_STAGES + 1]
+
+    k_end[:] = rhs(0.0, y.tolist())
+    h_abs = _initial_step(rhs, y, k_end, t_bound, max_step, rtol, atol)
     min_d2 = cfg.min_distance ** 2
-    if _min_pair_dist_sq(y0) < min_d2:
+    if _min_pair_dist_sq(y) < min_d2:
         raise TrajectoryFailure("bodies closer than min_distance", 0.0)
 
-    ts = [0.0]
+    t = 0.0
+    ts = [t]
     interps = []
-    prev_t = 0.0
-    prev_c = _collinearity_flat(y0)
+    prev_t = t
+    prev_c = _collinearity_flat(y)
 
-    while solver.status == "running":
-        solver.step()
-        if solver.status == "failed":
-            raise StiffnessFailure("stepper breakdown (step-size underflow)", solver.t)
-        interp = solver.dense_output()
+    while True:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        k_first[:] = k_end
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StiffnessFailure("stepper breakdown (step-size underflow)", t)
+            t_new = t + h_abs
+            if t_new - t_bound > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            for row, kt, a, c in step_stages:
+                row[:] = rhs(t + c * h, (y + np.dot(kt, a) * h).tolist())
+            y_new = y + h * np.dot(kt_sol, _dop.B)
+            y_list = y_new.tolist()
+            k_end[:] = rhs(t + h, y_list)
+
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err5 = np.dot(kt_err, _dop.E5) / scale
+            err3 = np.dot(kt_err, _dop.E3) / scale
+            err5_2 = math.sqrt(err5.dot(err5)) ** 2
+            err3_2 = math.sqrt(err3.dot(err3)) ** 2
+            if err5_2 == 0 and err3_2 == 0:
+                error_norm = 0.0
+            else:
+                denom = err5_2 + 0.01 * err3_2
+                error_norm = abs(h) * err5_2 / math.sqrt(denom * scale.size)
+
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+
+        t_old, y_old, t, y = t, y, t_new, y_new
+        for row, kt, a, c in dense_stages:
+            row[:] = rhs(t_old + c * h, (y_old + np.dot(kt, a) * h).tolist())
+        F = np.empty((_dop.INTERPOLATOR_POWER, 12))
+        delta_y = y - y_old
+        F[0] = delta_y
+        F[1] = h * k_first - delta_y
+        F[2] = 2 * delta_y - h * (k_end + k_first)
+        F[3:] = h * np.dot(_dop.D, K)
+        interp = _StepInterpolant(t_old, t, y_old, F)
         interps.append(interp)
-        ts.append(solver.t)
+        ts.append(t)
 
         if find_collinear:
-            for frac in _EVENT_PROBES:
-                tt = prev_t + frac * (solver.t - prev_t)
-                c = _collinearity_flat(interp(tt))
+            # the four probes in one pass over the six position components
+            probes = _probe_times(prev_t, t)
+            x = (np.array(probes) - t_old) / interp.h
+            q = _dense_sum(F[:, :6], y_old[:6], x[:, None], np.zeros((len(probes), 6)))
+            cs = ((q[:, 2] - q[:, 0]) * (q[:, 5] - q[:, 1])
+                  - (q[:, 3] - q[:, 1]) * (q[:, 4] - q[:, 0])).tolist()
+            for tt, c in zip(probes, cs):
                 if c == 0.0 or (prev_c > 0.0) != (c > 0.0):
                     if c == 0.0:
                         te = tt
@@ -259,16 +444,18 @@ def _propagate(state0: ThreeBodyState, spec: PotentialSpec, cfg: IntegratorConfi
                         te = brentq(lambda s: _collinearity_flat(interp(s)),
                                     prev_t, tt, xtol=1e-13, rtol=8.9e-16)
                     seg = TrajectorySegment(ts, interps, te)
-                    return seg, te, np.asarray(interp(te), dtype=float)
+                    return seg, te, interp(te)
                 prev_t, prev_c = tt, c
 
-        if _min_pair_dist_sq(solver.y) < min_d2:
-            raise TrajectoryFailure("bodies closer than min_distance", solver.t)
+        if _min_pair_dist_sq(y_list) < min_d2:
+            raise TrajectoryFailure("bodies closer than min_distance", t)
+        if t - t_bound >= 0:
+            break
 
     if find_collinear:
         raise EventNotFound(
             f"no collinearity sign change in [0, {t_bound:.6g}]")
-    return TrajectorySegment(ts, interps, solver.t), None, None
+    return TrajectorySegment(ts, interps, t), None, None
 
 
 def integrate(state0: ThreeBodyState, spec: PotentialSpec, t_end: float,

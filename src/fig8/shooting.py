@@ -309,21 +309,18 @@ def newton_solve(seed: ShootingParams, spec: PotentialSpec, cfg: IntegratorConfi
     Forward-difference Jacobian, backtracking halving line search. Raises
     NewtonDivergence when max_iter is exhausted (carrying the best
     iterate) and SingularJacobian when the 2x2 system degenerates.
-    Integrator failures at an iterate propagate with the iterate attached.
+    A failed trajectory at an iterate raises IntegrationError carrying the
+    iterate in `params`.
     """
     x0 = seed.x0
 
     def evaluate(y0: float, v: float) -> ResidualSample:
         params = ShootingParams(x0, y0, v)
-        try:
-            s = residuals(params, spec, cfg)
-        except IntegrationError as exc:  # pragma: no cover - defensive
-            exc.params = params
-            raise
+        # residuals turns every integrator failure into a status
+        s = residuals(params, spec, cfg)
         if not s.ok:
-            err = IntegrationError(f"trajectory failed during solve: {s.status}")
-            err.params = params
-            raise err
+            raise IntegrationError(f"trajectory failed during solve: {s.status}",
+                                   params=params)
         return s
 
     cur = evaluate(seed.y0, seed.v)

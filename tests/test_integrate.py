@@ -4,12 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import DOP853
+from scipy.optimize import brentq
 
+import fig8.integrate as fig8_integrate
 from fig8.dynamics import (PotentialSpec, ShootingParams, ThreeBodyState, Vec2,
                            angular_momentum, isosceles_state, linear_momentum,
                            total_energy)
-from fig8.integrate import (EventNotFound, IntegratorConfig, TrajectoryFailure,
-                            TrajectorySegment, collinearity, integrate,
+from fig8.integrate import (_EVENT_PROBES, EventNotFound, IntegrationError,
+                            IntegratorConfig, StiffnessFailure,
+                            TrajectoryFailure, TrajectorySegment,
+                            _collinearity_flat, _min_pair_dist_sq,
+                            _probe_times, collinearity, integrate,
                             integrate_to_collinear)
 
 LJ = PotentialSpec.lj()
@@ -186,7 +192,34 @@ class TestCollinearEvent:
             integrate_to_collinear(state, LJ, CFG)
 
 
+class TestEventProbes:
+    def test_probe_offsets_within_a_step(self):
+        # each probe moves its fraction of the way from the previous probe,
+        # so the offsets are not the quarters the tuple suggests
+        assert _EVENT_PROBES == (0.25, 0.5, 0.75, 1.0)
+        assert _probe_times(0.0, 1.0) == [0.25, 0.625, 0.90625, 1.0]
+        assert _probe_times(2.0, 6.0) == [3.0, 4.5, 5.625, 6.0]
+
+
+class TestModulePath:
+    def test_import_binds_the_module(self):
+        import sys
+
+        import fig8
+
+        assert fig8.integrate is sys.modules["fig8.integrate"]
+        assert fig8_integrate is sys.modules["fig8.integrate"]
+        assert callable(fig8_integrate.make_rhs)
+        assert "integrate" not in fig8.__all__
+
+
 class TestFailures:
+    def test_integration_error_params(self):
+        assert IntegrationError("x").params is None
+        err = IntegrationError("x", params=ALPHA)
+        assert err.params == ALPHA and str(err) == "x"
+        assert TrajectoryFailure("close", 1.0).params is None
+
     def test_event_not_found_before_horizon(self):
         cfg = IntegratorConfig(t_max=0.5)
         with pytest.raises(EventNotFound):
@@ -217,3 +250,141 @@ class TestFailures:
         cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-10, t_max=77.0,
                                min_distance=0.01)
         assert IntegratorConfig.from_json_dict(cfg.to_json_dict()) == cfg
+
+
+# -- bit parity with scipy's DOP853 solver object ----------------------------
+
+def _scipy_propagate(state0, spec, cfg, t_bound, find_collinear):
+    """The stepping driver as it stood on scipy's DOP853 object.
+
+    Returns (ts, interpolants, t_end, y_event or None); raises as the
+    driver does.
+    """
+    y0 = state0.to_array()
+    solver = DOP853(fig8_integrate.make_rhs(spec), 0.0, y0, t_bound,
+                    rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step)
+    min_d2 = cfg.min_distance ** 2
+    if _min_pair_dist_sq(y0) < min_d2:
+        raise TrajectoryFailure("bodies closer than min_distance", 0.0)
+    ts = [0.0]
+    interps = []
+    prev_t, prev_c = 0.0, _collinearity_flat(y0)
+    while solver.status == "running":
+        solver.step()
+        if solver.status == "failed":
+            raise StiffnessFailure("stepper breakdown (step-size underflow)", solver.t)
+        interp = solver.dense_output()
+        interps.append(interp)
+        ts.append(solver.t)
+        if find_collinear:
+            for frac in (0.25, 0.5, 0.75, 1.0):
+                tt = prev_t + frac * (solver.t - prev_t)
+                c = _collinearity_flat(interp(tt))
+                if c == 0.0 or (prev_c > 0.0) != (c > 0.0):
+                    te = tt if c == 0.0 else brentq(
+                        lambda s: _collinearity_flat(interp(s)),
+                        prev_t, tt, xtol=1e-13, rtol=8.9e-16)
+                    return ts, interps, te, np.asarray(interp(te), dtype=float)
+                prev_t, prev_c = tt, c
+        if _min_pair_dist_sq(solver.y) < min_d2:
+            raise TrajectoryFailure("bodies closer than min_distance", solver.t)
+    if find_collinear:
+        raise EventNotFound(f"no collinearity sign change in [0, {t_bound:.6g}]")
+    return ts, interps, solver.t, None
+
+
+def _run_counted(monkeypatch, fn, *args):
+    """(result or exception, RHS evaluations) of fn(*args)."""
+    calls = [0]
+    make_rhs = fig8_integrate.make_rhs
+
+    def counting(spec):
+        rhs = make_rhs(spec)
+
+        def counted(t, y):
+            calls[0] += 1
+            return rhs(t, y)
+
+        return counted
+
+    with monkeypatch.context() as m:
+        m.setattr(fig8_integrate, "make_rhs", counting)
+        try:
+            out = fn(*args)
+        except Exception as exc:  # compared by type and message
+            out = exc
+    return out, calls[0]
+
+
+Y0_AXIS = np.linspace(0.45, 1.3, 200)
+V_AXIS = np.linspace(0.05, 0.7, 200)
+
+COLLINEAR_CASES = {
+    "alpha": (isosceles_state(ALPHA), LJ, CFG),
+    "homogeneous": (isosceles_state(HOMOG), H6, CFG),
+    "long-tail": (isosceles_state(ShootingParams(0.75, float(Y0_AXIS[185]),
+                                                 float(V_AXIS[0]))), LJ, CFG),
+    "event-not-found": (isosceles_state(ShootingParams(0.75, float(Y0_AXIS[94]),
+                                                       float(V_AXIS[13]))), LJ, CFG),
+    "t_max": (isosceles_state(ALPHA), LJ, IntegratorConfig(t_max=0.5)),
+}
+INTEGRATE_CASES = {
+    "near-collision": (isosceles_state(ShootingParams(0.3, 0.3, 0.01)), H6, 50.0,
+                       IntegratorConfig(min_distance=0.05)),
+    "start-inside-floor": (isosceles_state(ShootingParams(0.3, 0.3, 0.1)), H6, 1.0,
+                           IntegratorConfig(min_distance=1.0)),
+    "alpha-period": (isosceles_state(ALPHA), LJ, 20.4287, CFG),
+}
+
+
+FAILING_CASES = {"event-not-found": EventNotFound, "t_max": EventNotFound,
+                 "near-collision": TrajectoryFailure,
+                 "start-inside-floor": TrajectoryFailure}
+
+
+def _assert_same_failure(new, ref):
+    assert type(new) is type(ref)
+    assert str(new) == str(ref)
+    assert getattr(new, "t", None) == getattr(ref, "t", None)
+
+
+class TestScipyParity:
+    """The in-module step loop against scipy's solver: equal, not close."""
+
+    @pytest.mark.parametrize("case", sorted(COLLINEAR_CASES))
+    def test_integrate_to_collinear(self, monkeypatch, case):
+        state0, spec, cfg = COLLINEAR_CASES[case]
+        new, n_new = _run_counted(monkeypatch, integrate_to_collinear, state0, spec, cfg)
+        ref, n_ref = _run_counted(monkeypatch, _scipy_propagate, state0, spec, cfg,
+                                  cfg.t_max, True)
+        assert n_new == n_ref
+        assert type(ref) is FAILING_CASES.get(case, tuple)
+        if isinstance(ref, Exception):
+            _assert_same_failure(new, ref)
+            return
+        t_f, state_f, seg = new
+        ts, _, te, ye = ref
+        assert seg.ts == ts
+        assert t_f == te and seg.t_end == te
+        assert state_f.to_array().tolist() == ye.tolist()
+        if case == "long-tail":
+            assert 97.0 < t_f < 97.5
+
+    @pytest.mark.parametrize("case", sorted(INTEGRATE_CASES))
+    def test_integrate(self, monkeypatch, case):
+        state0, spec, t_end, cfg = INTEGRATE_CASES[case]
+        new, n_new = _run_counted(monkeypatch, integrate, state0, spec, t_end, cfg)
+        ref, n_ref = _run_counted(monkeypatch, _scipy_propagate, state0, spec, cfg,
+                                  t_end, False)
+        assert n_new == n_ref
+        assert type(ref) is FAILING_CASES.get(case, tuple)
+        if isinstance(ref, Exception):
+            _assert_same_failure(new, ref)
+            return
+        ref_seg = TrajectorySegment(*ref[:3])
+        assert new.ts == ref_seg.ts and new.t_end == ref_seg.t_end
+        samples = np.linspace(0.0, t_end, 301)
+        assert new.eval_many(samples).tolist() == ref_seg.eval_many(samples).tolist()
+        # array evaluation of one step's interpolant, as the event probes use it
+        step = np.linspace(new.ts[5], new.ts[6], 7)
+        assert new.interpolants[5](step).tolist() == ref_seg.interpolants[5](step).tolist()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fig8.dynamics import PotentialSpec, ShootingParams
-from fig8.integrate import IntegratorConfig
+from fig8.integrate import IntegrationError, IntegratorConfig
 from fig8.shooting import (STATUS_OK, STATUS_TRAJECTORY_FAILURE, ContourGrid,
                            NewtonDivergence, ResidualSample, SolverError,
                            energy_in_published_range, find_seeds, newton_solve,
@@ -219,6 +219,13 @@ class TestNewtonSolve:
         assert rec.params.y0 == pytest.approx(0.956733, abs=1e-5)
         assert rec.params.v == pytest.approx(0.144241, abs=1e-5)
         assert rec.E == pytest.approx(0.00263843, abs=1e-5)
+
+    def test_failed_trajectory_carries_params(self):
+        # no collinear event before t_max = 0.5: the seed's own shot fails
+        with pytest.raises(IntegrationError) as err:
+            newton_solve(ALPHA, LJ, IntegratorConfig(t_max=0.5))
+        assert err.value.params == ALPHA
+        assert "event-not-found" in str(err.value)
 
     def test_divergence_carries_best_iterate(self):
         with pytest.raises(NewtonDivergence) as err:
