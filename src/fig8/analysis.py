@@ -9,7 +9,6 @@ choreography and mirror properties, counts collision intervals, and
 computes curvature and configuration-energy diagnostics.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -190,16 +189,15 @@ def orbit_from_record(record: SolutionRecord, cfg: IntegratorConfig,
 
 def integrate_full_orbit(state0: ThreeBodyState, spec: PotentialSpec,
                          cfg: IntegratorConfig, T: float,
-                         n_samples: int = 2400,
-                         two_arc: bool = True) -> FullOrbit:
+                         n_samples: int = 2400) -> FullOrbit:
     """Directly integrate a full period; the symmetry-free reference orbit.
 
-    By default the period is covered by a forward arc on [0, T/2] and a
-    time-reversed arc for (T/2, T): these periodic orbits are strongly
-    unstable, so a single forward arc amplifies the initial-condition
-    error by many orders of magnitude before closing. The two-arc form
-    keeps the whole comparison at integration accuracy while still using
-    nothing but the equations of motion and the initial state.
+    The period is covered by a forward arc on [0, T/2] and a time-reversed
+    arc for (T/2, T): these periodic orbits are strongly unstable, so a
+    single forward arc amplifies the initial-condition error by many
+    orders of magnitude before closing. The two arcs keep the whole
+    comparison at integration accuracy while still using nothing but the
+    equations of motion and the initial state.
     """
     if n_samples % 12 != 0:
         raise ValueError("n_samples must be divisible by 12")
@@ -213,12 +211,6 @@ def integrate_full_orbit(state0: ThreeBodyState, spec: PotentialSpec,
             q[i, k, 1] = y[2 * i + 1]
             p[i, k, 0] = y[6 + 2 * i]
             p[i, k, 1] = y[6 + 2 * i + 1]
-
-    if not two_arc:
-        seg = integrate(state0, spec, T, cfg)
-        for k, tk in enumerate(t):
-            scatter(k, seg.eval(tk))
-        return FullOrbit(T=T, t=t, q=q, p=p)
 
     half = 0.5 * T * (1.0 + 1e-9)
     seg_fwd = integrate(state0, spec, half, cfg)
@@ -518,8 +510,3 @@ def orbit_summary(orbit: FullOrbit, spec: PotentialSpec) -> dict:
         summary["curvature_max"] = {"t": float(kmax[0]), "kappa": float(kmax[1])}
     return summary
 
-
-def write_json(path, payload: dict):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")

@@ -8,6 +8,7 @@ be reproduced from its own artifacts. Exit codes: 0 success,
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -42,6 +43,11 @@ def _resolve_config(args) -> RunConfig:
     return cfg.override(**overrides)
 
 
+def _given(flag, default):
+    """A flag's value when it was given (0 included), else the default."""
+    return default if flag is None else flag
+
+
 def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -61,12 +67,12 @@ def _csv_header(cfg: RunConfig, extra: dict | None = None) -> tuple[str, ...]:
 
 def cmd_scan(args) -> int:
     cfg = _resolve_config(args)
-    n_y0 = args.ny or cfg.scan_n_y0
-    n_v = args.nv or cfg.scan_n_v
-    y0_range = (args.y0_min or cfg.scan_y0_range[0],
-                args.y0_max or cfg.scan_y0_range[1])
-    v_range = (args.v_min or cfg.scan_v_range[0],
-               args.v_max or cfg.scan_v_range[1])
+    n_y0 = _given(args.ny, cfg.scan_n_y0)
+    n_v = _given(args.nv, cfg.scan_n_v)
+    y0_range = (_given(args.y0_min, cfg.scan_y0_range[0]),
+                _given(args.y0_max, cfg.scan_y0_range[1]))
+    v_range = (_given(args.v_min, cfg.scan_v_range[0]),
+               _given(args.v_max, cfg.scan_v_range[1]))
     grid = scan_grid(args.x0, y0_range, v_range, n_y0, n_v,
                      cfg.potential, cfg.integrator, jobs=cfg.jobs)
     seeds = find_seeds(grid)
@@ -94,7 +100,7 @@ def cmd_solve(args) -> int:
     cfg = _resolve_config(args)
     seed = ShootingParams(args.x0, args.y0, args.v)
     record = newton_solve(seed, cfg.potential, cfg.integrator,
-                          tol=args.tol or cfg.newton_tol,
+                          tol=_given(args.tol, cfg.newton_tol),
                           max_iter=cfg.newton_max_iter)
     if args.label:
         record = record.with_label(args.label)
@@ -140,11 +146,11 @@ def cmd_continue(args) -> int:
         return EXIT_OK
     series = continue_family(
         record, record.potential, cfg.integrator,
-        step=args.step or cfg.continuation_step,
-        n_steps=args.steps or cfg.continuation_steps,
+        step=_given(args.step, cfg.continuation_step),
+        n_steps=_given(args.steps, cfg.continuation_steps),
         direction=args.direction,
-        tol=args.tol or cfg.newton_tol,
-        x0_limits=(args.x0_min, args.x0_max) if args.x0_min and args.x0_max else None,
+        tol=_given(args.tol, cfg.newton_tol),
+        x0_limits=(_given(args.x0_min, -math.inf), _given(args.x0_max, math.inf)),
         label=label,
     )
     if args.n0:

@@ -2,9 +2,10 @@
 
 Solutions come in one-parameter families in (x0, y0, v) that fold back
 in x0, so x0 cannot serve as the continuation parameter. Points advance
-by a secant predictor in start-normalized coordinates and a corrector
-that solves {both shooting residuals = 0, arclength constraint = 0} with
-a damped 3-D Newton iteration. Folds are recorded where the x0 step
+by a secant predictor in start-normalized coordinates. The predicted
+point lies on the arclength hyperplane, and the corrector drives both
+shooting residuals to zero within that hyperplane with the damped Newton
+of `shooting.solve_on_plane`. Folds are recorded where the x0 step
 changes sign; distinguished points (energy zero/maximum, period minimum,
 smallest x0) are refined afterwards by 1-D root finding or golden-section
 over arclength with a full corrector re-convergence at every probe.
@@ -15,9 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import PotentialSpec, ShootingParams
+from .dynamics import PotentialSpec
 from .integrate import IntegrationError, IntegratorConfig
-from .shooting import ResidualSample, SolutionRecord, SolverError, residuals
+from .shooting import (ResidualSample, SolutionRecord, SolverError, fd_jacobian,
+                       residuals, solve_on_plane)
 
 __all__ = [
     "ContinuationSeries",
@@ -29,6 +31,7 @@ __all__ = [
 ]
 
 SPECIAL_KINDS = ("E-zero", "T-min", "E-max", "x0-min")
+_CORRECTOR_MAX_ITER = 10
 
 
 class ContinuationError(SolverError):
@@ -74,87 +77,9 @@ class ContinuationSeries:
                          f"{p.params.v:.17g},{p.T:.17g},{p.E:.17g},{n0}\n")
 
 
-def _eval_u(u: np.ndarray, scale: np.ndarray, spec: PotentialSpec,
-            cfg: IntegratorConfig) -> ResidualSample:
-    x0, y0, v = (float(c) for c in u * scale)
-    if x0 <= 0 or y0 <= 0 or v <= 0:
-        raise IntegrationError("parameters left the positive domain")
-    s = residuals(ShootingParams(x0, y0, v), spec, cfg)
-    if not s.ok:
-        raise IntegrationError(f"trajectory failed: {s.status}")
-    return s
-
-
-def _fd_step(value: float) -> float:
-    return max(1e-6 * abs(value), 1e-8)
-
-
-def _residual_jacobian(u: np.ndarray, f0: np.ndarray, scale: np.ndarray,
-                       spec: PotentialSpec, cfg: IntegratorConfig) -> np.ndarray:
-    """Forward-difference 2x3 Jacobian of the dimensionless residual pair."""
-    J = np.empty((2, 3))
-    for k in range(3):
-        h = _fd_step(float(u[k]))
-        up = u.copy()
-        up[k] += h
-        s = _eval_u(up, scale, spec, cfg)
-        J[:, k] = (np.array([s.P_norm, s.D_norm]) - f0) / h
-    return J
-
-
-class _CorrectorFailure(Exception):
-    pass
-
-
-def _corrector(u_pred: np.ndarray, tangent: np.ndarray, u_anchor: np.ndarray,
-               h: float, scale: np.ndarray, spec: PotentialSpec,
-               cfg: IntegratorConfig, tol: float, max_it: int = 10):
-    """Solve {residuals = 0, (u - u_anchor).tangent = h} from u_pred.
-
-    Returns (u, sample, iterations). Raises _CorrectorFailure on stall.
-    """
-    u = u_pred.copy()
-    try:
-        s = _eval_u(u, scale, spec, cfg)
-    except IntegrationError as exc:
-        raise _CorrectorFailure(str(exc)) from exc
-    for it in range(max_it):
-        arc = float((u - u_anchor) @ tangent) - h
-        fnorm = math.hypot(s.P_norm, s.D_norm)
-        if fnorm <= tol and abs(arc) <= 1e-10:
-            return u, s, it
-        f0 = np.array([s.P_norm, s.D_norm])
-        try:
-            J2 = _residual_jacobian(u, f0, scale, spec, cfg)
-        except IntegrationError as exc:
-            raise _CorrectorFailure(str(exc)) from exc
-        J = np.vstack([J2, tangent])
-        g = np.array([f0[0], f0[1], arc])
-        try:
-            du = np.linalg.solve(J, -g)
-        except np.linalg.LinAlgError as exc:
-            raise _CorrectorFailure("singular corrector Jacobian") from exc
-        gnorm = float(np.linalg.norm(g))
-        lam = 1.0
-        for _ in range(10):
-            ut = u + lam * du
-            try:
-                st = _eval_u(ut, scale, spec, cfg)
-            except IntegrationError:
-                lam *= 0.5
-                continue
-            arct = float((ut - u_anchor) @ tangent) - h
-            gt = math.sqrt(st.P_norm ** 2 + st.D_norm ** 2 + arct ** 2)
-            if gt < gnorm:
-                u, s = ut, st
-                break
-            lam *= 0.5
-        else:
-            raise _CorrectorFailure("corrector line search stalled")
-    fnorm = math.hypot(s.P_norm, s.D_norm)
-    if fnorm <= tol:
-        return u, s, max_it
-    raise _CorrectorFailure(f"corrector stagnated at |F|={fnorm:.2e}")
+def _normal_plane(tangent: np.ndarray) -> np.ndarray:
+    """Two orthonormal directions spanning the hyperplane normal to tangent."""
+    return np.linalg.svd(tangent.reshape(1, 3))[2][1:]
 
 
 def _record_from(sample: ResidualSample, spec: PotentialSpec,
@@ -180,22 +105,22 @@ def continue_family(start: SolutionRecord, spec: PotentialSpec,
     """
     if direction not in (-1, 1):
         raise ValueError("direction must be +1 or -1")
+    if not step > 0 or n_steps < 0:
+        raise ValueError("step must be positive and n_steps non-negative")
     label = label or start.series_label or "series"
     p0 = start.params
     scale = np.array([p0.x0, p0.y0, p0.v])
     u = np.array([1.0, 1.0, 1.0])
-    try:
-        s0 = _eval_u(u, scale, spec, cfg)
-    except IntegrationError as exc:
-        raise ContinuationError(f"start point does not integrate: {exc}") from exc
+    s0 = residuals(p0, spec, cfg)
+    if not s0.ok:
+        raise ContinuationError(f"start point does not integrate: {s0.status}")
     if s0.norm > max(tol, 10.0 * start.residual_norm + 1e-14):
         raise ContinuationError(
             f"start point residual {s0.norm:.2e} above tolerance {tol:.2e}")
     series = ContinuationSeries(label=label, points=[_record_from(s0, spec, label)],
                                 tol=tol)
     # initial tangent: null direction of the residual Jacobian, oriented along x0
-    f0 = np.array([s0.P_norm, s0.D_norm])
-    J = _residual_jacobian(u, f0, scale, spec, cfg)
+    J = fd_jacobian(u, s0, np.eye(3), scale, spec, cfg)
     tangent = np.linalg.svd(J)[2][2]
     if tangent[0] != 0.0 and math.copysign(1.0, tangent[0]) != direction:
         tangent = -tangent
@@ -205,10 +130,12 @@ def continue_family(start: SolutionRecord, spec: PotentialSpec,
     while len(series.points) < n_steps + 1:
         u_prev = us[-1]
         u_pred = u_prev + h * tangent
+        # u_pred lies on the arclength hyperplane {(u - u_prev).tangent = h};
+        # the corrector stays on it
         try:
-            u_new, s_new, its = _corrector(u_pred, tangent, u_prev, h, scale,
-                                           spec, cfg, tol)
-        except _CorrectorFailure as exc:
+            u_new, s_new, its = solve_on_plane(scale, u_pred, _normal_plane(tangent),
+                                               spec, cfg, tol, _CORRECTOR_MAX_ITER)
+        except (SolverError, IntegrationError) as exc:
             h *= 0.5
             if h < step * 2.0 ** -14:
                 series.truncation_reason = f"step underflow: {exc}"
@@ -243,8 +170,8 @@ def _probe(series: ContinuationSeries, spec: PotentialSpec, cfg: IntegratorConfi
     tangent = u_b - u_a
     tangent = tangent / np.linalg.norm(tangent)
     u_base = u_a + tau * (u_b - u_a)
-    u, s, _ = _corrector(u_base, tangent, u_base, 0.0, series.scale, spec, cfg,
-                         series.tol)
+    u, s, _ = solve_on_plane(series.scale, u_base, _normal_plane(tangent), spec,
+                             cfg, series.tol, _CORRECTOR_MAX_ITER)
     return u, s
 
 

@@ -22,6 +22,7 @@ Single trajectories integrate sequentially; distinct trajectories share
 no mutable state and may run concurrently.
 """
 
+import copyreg
 import math
 import warnings
 from bisect import bisect_right
@@ -103,6 +104,11 @@ class TrajectoryFailure(IntegrationError):
     def __init__(self, message: str, t: float):
         super().__init__(f"{message} at t={t:.6g}")
         self.t = t
+
+    def __reduce__(self):
+        # args hold the formatted message, not (message, t): rebuild the
+        # instance without __init__ and restore t and params as state
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class StiffnessFailure(TrajectoryFailure):

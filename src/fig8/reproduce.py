@@ -23,7 +23,7 @@ from .dynamics import (PotentialSpec, ShootingParams, isosceles_state,
                        angular_momentum, linear_momentum)
 from .integrate import IntegratorConfig, integrate, integrate_to_collinear
 from .shooting import (find_seeds, newton_solve, record_from_params, residuals,
-                       scan_grid, solution_record_from_json)
+                       scan_grid, solution_record_from_json, solve_on_plane)
 
 LJ = PotentialSpec.lj()
 H6 = PotentialSpec.homogeneous(6)
@@ -64,6 +64,9 @@ CITED_WITH_E = {
 }
 
 COLLISION_COUNTS = {"beta": 8, "gamma": 8, "delta": 16, "epsilon": 24}
+
+# directions (x0, v) of a solve at fixed y0, in start-scaled coordinates
+FIXED_Y0 = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
 ALPHA_PRIME = (0.553223, 0.615805)      # second crossing at x0 = 0.75
 ALPHA_CROSSING = (0.725966, 0.522742)
@@ -355,44 +358,6 @@ def c04_alpha_fold(ctx) -> CriterionResult:
                            details, time.perf_counter() - t0)
 
 
-def _refine_fixed_y0(x0, y0, v, ctx, tol=1e-10, max_iter=25):
-    """Damped Newton in (x0, v) at fixed y0.
-
-    Complements the standard fixed-x0 solve for points where the family
-    folds in x0 and the fixed-x0 Jacobian degenerates.
-    """
-    u = np.array([x0, v])
-
-    def f_of(uu):
-        s = residuals(ShootingParams(float(uu[0]), y0, float(uu[1])), LJ, ctx.cfg)
-        if not s.ok:
-            raise RuntimeError(s.status)
-        return np.array([s.P_norm, s.D_norm])
-
-    f = f_of(u)
-    for _ in range(max_iter):
-        if float(np.hypot(*f)) <= tol:
-            break
-        J = np.empty((2, 2))
-        for k in range(2):
-            h = max(1e-6 * abs(u[k]), 1e-8)
-            up = u.copy()
-            up[k] += h
-            J[:, k] = (f_of(up) - f) / h
-        du = np.linalg.solve(J, -f)
-        lam, n0 = 1.0, float(np.hypot(*f))
-        while lam > 1e-4:
-            ut = u + lam * du
-            ft = f_of(ut)
-            if float(np.hypot(*ft)) < n0:
-                u, f = ut, ft
-                break
-            lam *= 0.5
-        else:
-            break
-    return u, float(np.hypot(*f))
-
-
 def c05_published_branch_points(ctx) -> CriterionResult:
     """Pointwise residuals at the published 6-digit triples.
 
@@ -431,12 +396,14 @@ def c05_published_branch_points(ctx) -> CriterionResult:
             worst = max(worst, abs(rec.params.y0 - y0), abs(rec.params.v - v))
     details.append(f"     companion: 17 of 18 triples refine onto the family "
                    f"within {worst:.1e} of their printed 6-digit values")
-    u, _ = _refine_fixed_y0(*beta_fold, ctx)
-    dist = max(abs(u[0] - beta_fold[0]), abs(u[1] - beta_fold[2]))
+    _, s, _ = solve_on_plane(np.array(beta_fold), np.ones(3), FIXED_Y0, LJ,
+                             ctx.cfg, tol=1e-10, max_iter=25)
+    x0_f, v_f = s.params.x0, s.params.v
+    dist = max(abs(x0_f - beta_fold[0]), abs(v_f - beta_fold[2]))
     details.append(f"     companion: the smallest-x0 point of the second "
                    f"family sits {dist:.1e} from the computed family "
-                   f"(fixed-y0 refinement lands at x0={u[0]:.6f}, "
-                   f"v={u[1]:.6f}); that family's fold is at x0=0.726654")
+                   f"(fixed-y0 refinement lands at x0={x0_f:.6f}, "
+                   f"v={v_f:.6f}); that family's fold is at x0=0.726654")
     return CriterionResult(5, "residuals and energies at published branch points",
                            ok, details, time.perf_counter() - t0)
 

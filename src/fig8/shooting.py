@@ -1,5 +1,5 @@
 """Shooting residuals at the first collinear event, grid scans, and the
-2-D Newton solve that pins figure-eight solutions.
+damped Newton that pins figure-eight solutions on a plane in (x0, y0, v).
 
 A trajectory launched from the isosceles configuration is a figure-eight
 choreography exactly when, at its first collinear instant, the two outer
@@ -7,7 +7,6 @@ bodies move in parallel (residual P) and sit symmetrically about the
 inner one (residual D). Both residuals vanish together at a solution.
 """
 
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -33,6 +32,8 @@ __all__ = [
     "residuals",
     "scan_grid",
     "find_seeds",
+    "fd_jacobian",
+    "solve_on_plane",
     "newton_solve",
     "energy_in_published_range",
     "solution_record_json",
@@ -294,83 +295,111 @@ class SingularJacobian(SolverError):
         self.params = params
 
 
+# forward-difference step along a direction d at u: _FD_REL_STEP times
+# the size of u along d (|u_k| for a coordinate direction), floored
 _FD_REL_STEP = 1e-6
 _FD_ABS_FLOOR = 1e-8
+# trial steps of the backtracking line search, halving from the full step
+_LINE_SEARCH_TRIALS = 12
+
+# solve planes in start-scaled coordinates u = (x0, y0, v) / start
+_FIXED_X0 = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
 
-def _fd_step(value: float) -> float:
-    return max(_FD_REL_STEP * abs(value), _FD_ABS_FLOOR)
+def _sample_at(u: np.ndarray, scale: np.ndarray, spec: PotentialSpec,
+               cfg: IntegratorConfig) -> ResidualSample:
+    """Residuals at the parameters u * scale; a failed trajectory or a
+    non-positive parameter raises IntegrationError."""
+    x0, y0, v = (float(c) for c in u * scale)
+    if not (x0 > 0 and y0 > 0 and v > 0):
+        raise IntegrationError(
+            f"parameters left the positive domain: ({x0:.6g}, {y0:.6g}, {v:.6g})")
+    params = ShootingParams(x0, y0, v)
+    # residuals turns every integrator failure into a status
+    s = residuals(params, spec, cfg)
+    if not s.ok:
+        raise IntegrationError(f"trajectory failed during solve: {s.status}",
+                               params=params)
+    return s
+
+
+def _pair(s: ResidualSample) -> np.ndarray:
+    return np.array([s.P_norm, s.D_norm])
+
+
+def fd_jacobian(u: np.ndarray, sample: ResidualSample, directions: np.ndarray,
+                scale: np.ndarray, spec: PotentialSpec,
+                cfg: IntegratorConfig) -> np.ndarray:
+    """Forward-difference derivatives of (P_norm, D_norm) at the
+    start-scaled point u, whose residuals are `sample`, along each row of
+    `directions`; shape (2, len(directions))."""
+    f0 = _pair(sample)
+    J = np.empty((2, len(directions)))
+    for k, d in enumerate(directions):
+        h = max(_FD_REL_STEP * float(np.abs(d) @ np.abs(u)), _FD_ABS_FLOOR)
+        J[:, k] = (_pair(_sample_at(u + h * d, scale, spec, cfg)) - f0) / h
+    return J
+
+
+def solve_on_plane(scale: np.ndarray, u0: np.ndarray, directions: np.ndarray,
+                   spec: PotentialSpec, cfg: IntegratorConfig, tol: float,
+                   max_iter: int) -> tuple[np.ndarray, ResidualSample, int]:
+    """Damped Newton on (P_norm, D_norm) over the plane u0 + span(directions).
+
+    u are start-scaled coordinates, the parameters being u * scale;
+    `directions` holds two rows. Forward-difference Jacobian along them,
+    backtracking halving line search on |F|, converged when |F| <= tol.
+    Returns (u, sample, iterations). Raises IntegrationError when u0 or a
+    Jacobian probe does not integrate, SingularJacobian when the 2x2
+    system degenerates and NewtonDivergence, carrying the best iterate,
+    when the line search stalls or max_iter is exhausted.
+    """
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
+    u = np.asarray(u0, dtype=float)
+    cur = _sample_at(u, scale, spec, cfg)
+    # every accepted step lowers |F|, so the current iterate is the best
+    for iteration in range(max_iter):
+        fnorm = cur.norm
+        if fnorm <= tol:
+            return u, cur, iteration
+        J = fd_jacobian(u, cur, directions, scale, spec, cfg)
+        det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
+        if abs(det) < 1e-14 * max(abs(J).max(), 1e-300) ** 2:
+            raise SingularJacobian(cur.params)
+        step = np.linalg.solve(J, -_pair(cur)) @ directions
+        lam = 1.0
+        for _ in range(_LINE_SEARCH_TRIALS):
+            try:
+                trial = _sample_at(u + lam * step, scale, spec, cfg)
+            except IntegrationError:
+                trial = None
+            if trial is not None and trial.norm < fnorm:
+                break
+            lam *= 0.5
+        else:
+            raise NewtonDivergence("line search stalled", cur.params, fnorm,
+                                   iteration)
+        u, cur = u + lam * step, trial
+    if cur.norm <= tol:
+        return u, cur, max_iter
+    raise NewtonDivergence("no convergence", cur.params, cur.norm, max_iter)
 
 
 def newton_solve(seed: ShootingParams, spec: PotentialSpec, cfg: IntegratorConfig,
                  tol: float = 1e-10, max_iter: int = 50) -> SolutionRecord:
     """Damped 2-D Newton on the dimensionless residual pair at fixed x0.
 
-    Forward-difference Jacobian, backtracking halving line search. Raises
+    `solve_on_plane` over (y0, v), scaled by the seed. Raises
     NewtonDivergence when max_iter is exhausted (carrying the best
     iterate) and SingularJacobian when the 2x2 system degenerates.
     A failed trajectory at an iterate raises IntegrationError carrying the
     iterate in `params`.
     """
-    x0 = seed.x0
-
-    def evaluate(y0: float, v: float) -> ResidualSample:
-        params = ShootingParams(x0, y0, v)
-        # residuals turns every integrator failure into a status
-        s = residuals(params, spec, cfg)
-        if not s.ok:
-            raise IntegrationError(f"trajectory failed during solve: {s.status}",
-                                   params=params)
-        return s
-
-    cur = evaluate(seed.y0, seed.v)
-    best = cur
-    for iteration in range(max_iter):
-        fnorm = cur.norm
-        if fnorm <= tol:
-            return SolutionRecord(
-                params=cur.params, T=12.0 * cur.t_f, E=cur.E,
-                residual_norm=fnorm, potential=spec,
-            )
-        f0 = np.array([cur.P_norm, cur.D_norm])
-        y0, v = cur.params.y0, cur.params.v
-        J = np.empty((2, 2))
-        hy = _fd_step(y0)
-        probe = evaluate(y0 + hy, v)
-        J[:, 0] = (np.array([probe.P_norm, probe.D_norm]) - f0) / hy
-        hv = _fd_step(v)
-        probe = evaluate(y0, v + hv)
-        J[:, 1] = (np.array([probe.P_norm, probe.D_norm]) - f0) / hv
-        det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-        scale = max(abs(J).max(), 1e-300) ** 2
-        if abs(det) < 1e-14 * scale:
-            raise SingularJacobian(cur.params)
-        step = np.linalg.solve(J, -f0)
-        lam = 1.0
-        improved = None
-        for _ in range(12):
-            y0_t = y0 + lam * step[0]
-            v_t = v + lam * step[1]
-            if y0_t > 0 and v_t > 0:
-                try:
-                    trial = evaluate(y0_t, v_t)
-                    if trial.norm < fnorm:
-                        improved = trial
-                        break
-                except IntegrationError:
-                    pass
-            lam *= 0.5
-        if improved is None:
-            raise NewtonDivergence("line search stalled", cur.params, fnorm,
-                                   iteration)
-        cur = improved
-        if cur.norm < best.norm:
-            best = cur
-
-    if cur.norm <= tol:
-        return SolutionRecord(params=cur.params, T=12.0 * cur.t_f, E=cur.E,
-                              residual_norm=cur.norm, potential=spec)
-    raise NewtonDivergence("no convergence", best.params, best.norm, max_iter)
+    _, s, _ = solve_on_plane(np.array([seed.x0, seed.y0, seed.v]), np.ones(3),
+                             _FIXED_X0, spec, cfg, tol, max_iter)
+    return SolutionRecord(params=s.params, T=12.0 * s.t_f, E=s.E,
+                          residual_norm=s.norm, potential=spec)
 
 
 def record_from_params(params: ShootingParams, spec: PotentialSpec,
@@ -417,8 +446,3 @@ def solution_record_from_json(d: dict) -> SolutionRecord:
         series_label=d.get("series_label"),
     )
 
-
-def write_json(path, payload: dict):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")

@@ -91,6 +91,11 @@ class TestSolve:
                        "--tol", 1e-16, "-o", tmp_path)
         assert code == 2
 
+    def test_explicit_zero_tolerance_exits_5(self, tmp_path):
+        code = run_cli("solve", "--x0", 0.75, "--y0", 0.73, "--v", 0.52,
+                       "--tol", 0, "-o", tmp_path)
+        assert code == 5
+
     def test_bad_potential_exits_5(self, tmp_path):
         code = run_cli("solve", "--x0", 1, "--y0", 1, "--v", 1,
                        "--potential", "nope", "-o", tmp_path)
@@ -132,6 +137,15 @@ class TestScan:
         assert len(rows) == 1 + 36
         grid_json = json.loads((tmp_path / "grid_x0_0.75.json").read_text())
         assert grid_json["config"]["scan_n_y0"] == 200  # defaults embedded
+
+    @pytest.mark.parametrize("flag", ["--y0-min", "--ny"])
+    def test_explicit_zero_reaches_validation(self, tmp_path, flag):
+        # an explicit 0 is not replaced by the config default
+        args = {"--y0-min": 0.70, "--y0-max": 0.76, "--v-min": 0.49,
+                "--v-max": 0.55, "--ny": 6, "--nv": 6} | {flag: 0}
+        flat = [str(a) for item in args.items() for a in item]
+        assert run_cli("scan", "--x0", 0.75, *flat, "-o", tmp_path) == 5
+        assert not list(tmp_path.glob("grid_*"))
 
     def test_degenerate_two_by_two(self, tmp_path):
         code = run_cli("scan", "--x0", 0.75,
@@ -188,6 +202,22 @@ class TestContinueAndAnalyze:
                 if not l.startswith("#")][1:]
         assert len(rows) >= 3
         assert all(r.rstrip().endswith(",24") for r in rows)
+
+    def test_one_sided_x0_limit_honoured(self, alpha_record_file, tmp_path,
+                                         capsys):
+        code = run_cli("continue", alpha_record_file, "--steps", 40,
+                       "--direction", "1", "--x0-max", 0.77, "--no-n0",
+                       "-o", tmp_path)
+        assert code == 0
+        assert "truncated: reached x0 limit" in capsys.readouterr().out
+        rows = [l for l in (tmp_path / "series_alpha.csv").read_text().splitlines()
+                if not l.startswith("#")][1:]
+        assert len(rows) < 41
+        assert all(float(r.split(",")[1]) <= 0.77 for r in rows[:-1])
+
+    def test_explicit_zero_step_exits_5(self, alpha_record_file, tmp_path):
+        assert run_cli("continue", alpha_record_file, "--step", 0,
+                       "-o", tmp_path) == 5
 
     def test_analyze_record(self, alpha_record_file, tmp_path, capsys):
         code = run_cli("analyze", alpha_record_file, "-o", tmp_path)

@@ -5,9 +5,9 @@ import pytest
 
 from fig8.dynamics import PotentialSpec, ShootingParams
 from fig8.integrate import IntegratorConfig
-from fig8.shooting import newton_solve, residuals
+from fig8.shooting import SolverError, newton_solve, residuals, solve_on_plane
 from fig8.continuation import (ContinuationError, SpecialPointNotFound,
-                               continue_family, locate_special)
+                               _normal_plane, continue_family, locate_special)
 
 LJ = PotentialSpec.lj()
 H6 = PotentialSpec.homogeneous(6)
@@ -94,6 +94,17 @@ class TestContinueFamily:
         assert series.truncation_reason is not None
         assert "underflow" in series.truncation_reason
 
+    @pytest.mark.parametrize("h", [0.01, 0.03])
+    def test_corrector_stays_on_the_arclength_hyperplane(self, series_up, h):
+        us = series_up.u_coords()
+        for k in range(3):
+            t = us[k + 1] - us[k]
+            t /= np.linalg.norm(t)
+            u, s, _ = solve_on_plane(series_up.scale, us[k] + h * t,
+                                     _normal_plane(t), LJ, CFG, series_up.tol, 10)
+            assert s.norm <= series_up.tol
+            assert abs(float((u - us[k]) @ t) - h) <= 1e-12
+
     def test_bad_start_rejected(self):
         from fig8.shooting import SolutionRecord
 
@@ -137,6 +148,15 @@ class TestLocateSpecial:
     def test_missing_bracket_raises(self, series_up):
         with pytest.raises(SpecialPointNotFound):
             locate_special(series_up, "E-zero", CFG)
+
+    def test_corrector_failure_is_a_solver_error(self, alpha_record):
+        # an unreachable tolerance makes the first probe's corrector fail;
+        # the failure reaches the caller as a SolverError, not a private type
+        series = continue_family(alpha_record, LJ, CFG, n_steps=12, direction=-1)
+        series.tol = 1e-16
+        with pytest.raises(SolverError) as err:
+            locate_special(series, "x0-min", CFG)
+        assert not isinstance(err.value, SpecialPointNotFound)
 
     def test_unknown_kind_rejected(self, series_down):
         with pytest.raises(ValueError):

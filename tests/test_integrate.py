@@ -1,6 +1,7 @@
 """Propagation accuracy, event location, and failure modes."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -219,6 +220,19 @@ class TestFailures:
         err = IntegrationError("x", params=ALPHA)
         assert err.params == ALPHA and str(err) == "x"
         assert TrajectoryFailure("close", 1.0).params is None
+
+    @pytest.mark.parametrize("err", [
+        TrajectoryFailure("close", 1.0),
+        StiffnessFailure("stepper breakdown", 2.5),
+        EventNotFound("no collinearity sign change in [0, 3]"),
+    ])
+    def test_pickle_round_trip(self, err):
+        err.params = ALPHA
+        again = pickle.loads(pickle.dumps(err))
+        assert type(again) is type(err)
+        assert str(again) == str(err)
+        assert again.params == ALPHA
+        assert getattr(again, "t", None) == getattr(err, "t", None)
 
     def test_event_not_found_before_horizon(self):
         cfg = IntegratorConfig(t_max=0.5)

@@ -12,7 +12,8 @@ from fig8.shooting import (STATUS_OK, STATUS_TRAJECTORY_FAILURE, ContourGrid,
                            NewtonDivergence, ResidualSample, SolverError,
                            energy_in_published_range, find_seeds, newton_solve,
                            record_from_params, residuals, scan_grid,
-                           solution_record_from_json, solution_record_json)
+                           solution_record_from_json, solution_record_json,
+                           solve_on_plane)
 
 LJ = PotentialSpec.lj()
 H6 = PotentialSpec.homogeneous(6)
@@ -239,6 +240,19 @@ class TestNewtonSolve:
         with pytest.raises(SolverError):
             newton_solve(ShootingParams(0.726, 0.766265, 0.302694), LJ, CFG,
                          tol=1e-12, max_iter=8)
+
+
+class TestSolveOnPlane:
+    def test_fixed_y0_solve_at_the_beta_fold(self):
+        # where the fixed-x0 solve degenerates, Newton in (x0, v) converges
+        beta = np.array([0.726, 0.766265, 0.302694])
+        u, s, _ = solve_on_plane(
+            beta, np.ones(3), np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+            LJ, CFG, tol=1e-10, max_iter=25)
+        assert s.norm <= 1e-10
+        assert s.params.y0 == beta[1]
+        assert s.params.x0 == pytest.approx(0.72666, abs=5e-5)
+        assert np.allclose(u * beta, list(s.params), rtol=1e-15)
 
 
 class TestRecords:
