@@ -7,6 +7,12 @@ permutation, y-mirror with time reversal) plus the equal-time-spacing
 shift between bodies. This module assembles that orbit, checks the
 choreography and mirror properties, counts collision intervals, and
 computes curvature and configuration-energy diagnostics.
+
+Everything works on arrays of flat states. Within one twelfth-period
+block a map fixes the source time, and its body permutation and sign
+flips are exact, so one array evaluation of the dense segment gives all
+three bodies bit for bit. Curvature evaluates the integrator's
+right-hand side, the package's one force law, on all samples at once.
 """
 
 import math
@@ -14,9 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (PotentialSpec, ThreeBodyState, accelerations,
+# accelerations stays bound for the hooks of perfbench/tracing.py
+from .dynamics import (PotentialSpec, ThreeBodyState, accelerations,  # noqa: F401
                        isosceles_state, total_energy)
-from .integrate import IntegratorConfig, TrajectorySegment, integrate, integrate_to_collinear
+from .integrate import (IntegratorConfig, TrajectorySegment, integrate,
+                        integrate_to_collinear, make_rhs)
 from .shooting import SolutionRecord
 
 __all__ = [
@@ -34,34 +42,38 @@ __all__ = [
     "configuration_energy_extrema",
 ]
 
-# permutations entering the three symmetry maps (subscripts mod 3)
-_TWICE = (0, 2, 1)        # i -> 2i
-_PLUS2 = (2, 0, 1)        # i -> i + 2
-_TWICE1 = (1, 0, 2)       # i -> 2i + 1
+# The symmetry map of each twelfth-period block: whether the source time
+# runs backwards (t0 - tau), the source body of each body (subscripts
+# mod 3), and the (x, y) signs of positions and of velocities.
+_BLOCK_MAPS = (
+    (False, [0, 1, 2], (1.0, 1.0), (1.0, 1.0)),
+    # q_i(t + t0) = -q_{2i}(t0 - t); velocities carry over unreflected
+    (True, [0, 2, 1], (-1.0, -1.0), (1.0, 1.0)),
+    # q_i(t + 2 t0) = (-x_{i+2}(t), y_{i+2}(t))
+    (False, [2, 0, 1], (-1.0, 1.0), (-1.0, 1.0)),
+    # q_i(t + 3 t0) = (x_{2i+1}(t0 - t), -y_{2i+1}(t0 - t))
+    (True, [1, 0, 2], (1.0, -1.0), (-1.0, 1.0)),
+)
 
 
-def _map_segment_eval(seg: TrajectorySegment, t0: float, body: int,
-                      block: int, tau: np.ndarray):
-    """Position/velocity of `body` on block*t0 + tau via the symmetry maps.
+def _bodies(y: np.ndarray):
+    """(q, p), each of shape (3, n, 2), from flat states y of shape (12, n)."""
+    return (y[:6].reshape(3, 2, -1).transpose(0, 2, 1),
+            y[6:].reshape(3, 2, -1).transpose(0, 2, 1))
 
-    tau must lie in [0, t0]; block in 0..3. Returns (q, p) arrays of
-    shape (len(tau), 2).
+
+def _map_segment_eval(seg: TrajectorySegment, t0: float, block: int,
+                      tau: np.ndarray):
+    """Positions/velocities of all bodies on block*t0 + tau via the symmetry maps.
+
+    tau must lie in [0, t0]; block in 0..3. The block fixes the source
+    time, so one segment evaluation serves the three bodies; the
+    permutation and sign flips are exact. Returns (q, p), each of shape
+    (3, len(tau), 2).
     """
-    if block == 0:
-        src, tsrc, qs, ps = body, tau, (1.0, 1.0), (1.0, 1.0)
-    elif block == 1:
-        # q_i(t + t0) = -q_{2i}(t0 - t); velocities carry over unreflected
-        src, tsrc, qs, ps = _TWICE[body], t0 - tau, (-1.0, -1.0), (1.0, 1.0)
-    elif block == 2:
-        # q_i(t + 2 t0) = (-x_{i+2}(t), y_{i+2}(t))
-        src, tsrc, qs, ps = _PLUS2[body], tau, (-1.0, 1.0), (-1.0, 1.0)
-    else:
-        # q_i(t + 3 t0) = (x_{2i+1}(t0 - t), -y_{2i+1}(t0 - t))
-        src, tsrc, qs, ps = _TWICE1[body], t0 - tau, (1.0, -1.0), (-1.0, 1.0)
-    vals = seg.eval_many(np.clip(tsrc, 0.0, t0))
-    q = np.stack([qs[0] * vals[2 * src], qs[1] * vals[2 * src + 1]], axis=-1)
-    p = np.stack([ps[0] * vals[6 + 2 * src], ps[1] * vals[6 + 2 * src + 1]], axis=-1)
-    return q, p
+    reverse, src, qs, ps = _BLOCK_MAPS[block]
+    q, p = _bodies(seg.eval_many(np.clip(t0 - tau if reverse else tau, 0.0, t0)))
+    return q[src] * qs, p[src] * ps
 
 
 @dataclass
@@ -88,11 +100,7 @@ class FullOrbit:
 
     def state_at(self, t: float) -> ThreeBodyState:
         q, p = self.eval(t)
-        return ThreeBodyState(
-            t=t,
-            q=tuple(_vec(q[i]) for i in range(3)),
-            p=tuple(_vec(p[i]) for i in range(3)),
-        )
+        return ThreeBodyState.from_array(t, np.concatenate([q.ravel(), p.ravel()]))
 
     def eval(self, t: float):
         """(q, p) with shape (3, 2) at arbitrary t, using the symmetry maps."""
@@ -105,15 +113,9 @@ class FullOrbit:
         block = int(min(block, 3))
         tau = rem - block * t0
         shift = int(min(shift, 2))
-        q = np.empty((3, 2))
-        p = np.empty((3, 2))
-        tau_arr = np.array([tau])
-        for i in range(3):
-            src = (i + shift) % 3
-            qv, pv = _map_segment_eval(self._segment, t0, src, block, tau_arr)
-            q[i] = qv[0]
-            p[i] = pv[0]
-        return q, p
+        q, p = _map_segment_eval(self._segment, t0, block, np.array([tau]))
+        src = [(i + shift) % 3 for i in range(3)]
+        return q[src, 0], p[src, 0]
 
     def pair_distance_samples(self, i: int, j: int) -> np.ndarray:
         d = self.q[i] - self.q[j]
@@ -137,12 +139,6 @@ class FullOrbit:
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def _vec(xy):
-    from .dynamics import Vec2
-
-    return Vec2(float(xy[0]), float(xy[1]))
-
-
 def build_full_orbit(segment: TrajectorySegment, t_f: float,
                      n_samples: int = 2400,
                      source: SolutionRecord | None = None) -> FullOrbit:
@@ -163,17 +159,13 @@ def build_full_orbit(segment: TrajectorySegment, t_f: float,
     q = np.empty((3, n_samples, 2))
     p = np.empty((3, n_samples, 2))
     for block in range(4):
-        for body in range(3):
-            qv, pv = _map_segment_eval(segment, t0, body, block, tau)
-            sl = slice(block * n12, (block + 1) * n12)
-            q[body, sl] = qv
-            p[body, sl] = pv
+        sl = slice(block * n12, (block + 1) * n12)
+        q[:, sl], p[:, sl] = _map_segment_eval(segment, t0, block, tau)
     third = 4 * n12
-    for body in range(3):
-        q[body, third:2 * third] = q[(body + 1) % 3, :third]
-        p[body, third:2 * third] = p[(body + 1) % 3, :third]
-        q[body, 2 * third:] = q[(body + 2) % 3, :third]
-        p[body, 2 * third:] = p[(body + 2) % 3, :third]
+    q[:, third:2 * third] = q[[1, 2, 0], :third]
+    p[:, third:2 * third] = p[[1, 2, 0], :third]
+    q[:, 2 * third:] = q[[2, 0, 1], :third]
+    p[:, 2 * third:] = p[[2, 0, 1], :third]
     t = np.arange(n_samples) * (T / n_samples)
     return FullOrbit(T=T, t=t, q=q, p=p, source=source,
                      _segment=segment, _t0=t0)
@@ -202,28 +194,17 @@ def integrate_full_orbit(state0: ThreeBodyState, spec: PotentialSpec,
     if n_samples % 12 != 0:
         raise ValueError("n_samples must be divisible by 12")
     t = np.arange(n_samples) * (T / n_samples)
-    q = np.empty((3, n_samples, 2))
-    p = np.empty((3, n_samples, 2))
-
-    def scatter(k, y):
-        for i in range(3):
-            q[i, k, 0] = y[2 * i]
-            q[i, k, 1] = y[2 * i + 1]
-            p[i, k, 0] = y[6 + 2 * i]
-            p[i, k, 1] = y[6 + 2 * i + 1]
-
     half = 0.5 * T * (1.0 + 1e-9)
     seg_fwd = integrate(state0, spec, half, cfg)
     y_rev = state0.to_array()
     y_rev[6:] = -y_rev[6:]
     seg_bwd = integrate(ThreeBodyState.from_array(0.0, y_rev), spec, half, cfg)
-    for k, tk in enumerate(t):
-        if tk <= 0.5 * T:
-            scatter(k, seg_fwd.eval(tk))
-        else:
-            y = np.array(seg_bwd.eval(T - tk))
-            y[6:] = -y[6:]
-            scatter(k, y)
+    fwd = t <= 0.5 * T
+    y = np.empty((12, n_samples))
+    y[:, fwd] = seg_fwd.eval_many(t[fwd])
+    y[:, ~fwd] = seg_bwd.eval_many(T - t[~fwd])
+    y[6:, ~fwd] = -y[6:, ~fwd]
+    q, p = _bodies(y)
     return FullOrbit(T=T, t=t, q=q, p=p)
 
 
@@ -426,27 +407,22 @@ def collision_count(record: SolutionRecord, cfg: IntegratorConfig,
 def curvature_profile(orbit: FullOrbit, spec: PotentialSpec | None = None):
     """Curvature of body 0's path at each sample: |v x a| / |v|^3.
 
-    Accelerations come from the dynamics, not finite differences. Samples
-    with vanishing speed yield NaN. Returns an (n, 2) array of (t, kappa).
+    Accelerations come from the equations of motion, evaluated on all
+    samples at once, not from finite differences. Samples with vanishing
+    speed yield NaN. Returns an (n, 2) array of (t, kappa).
     """
     if spec is None:
         if orbit.source is None:
             raise ValueError("need a potential to evaluate accelerations")
         spec = orbit.source.potential
-    n = orbit.n_samples
-    out = np.empty((n, 2))
-    for k in range(n):
-        state = ThreeBodyState(
-            t=float(orbit.t[k]),
-            q=tuple(_vec(orbit.q[i, k]) for i in range(3)),
-            p=tuple(_vec(orbit.p[i, k]) for i in range(3)),
-        )
-        acc = accelerations(state, spec)[0]
-        v = state.p[0]
-        speed = v.norm()
-        out[k, 0] = orbit.t[k]
-        out[k, 1] = abs(v.cross(acc)) / speed ** 3 if speed > 0 else np.nan
-    return out
+    y = np.concatenate([orbit.q, orbit.p]).transpose(0, 2, 1).reshape(12, -1)
+    f = make_rhs(spec)(orbit.t, y)
+    vx, vy, ax, ay = f[0], f[1], f[6], f[7]
+    speed = np.hypot(vx, vy)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = np.abs(vx * ay - vy * ax) / speed ** 3
+    kappa[speed == 0] = np.nan
+    return np.column_stack([orbit.t, kappa])
 
 
 @dataclass(frozen=True)

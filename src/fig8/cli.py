@@ -36,7 +36,7 @@ def _resolve_config(args) -> RunConfig:
     overrides = {}
     if getattr(args, "potential", None):
         overrides["potential"] = parse_potential(args.potential)
-    if getattr(args, "jobs", None):
+    if getattr(args, "jobs", None) is not None:
         overrides["jobs"] = args.jobs
     if getattr(args, "out", None):
         overrides["out_dir"] = args.out
@@ -231,8 +231,7 @@ def cmd_reproduce(args) -> int:
     from .reproduce import run_criteria
 
     cfg = _resolve_config(args)
-    results = run_criteria(quick=args.quick, jobs=cfg.jobs or 1,
-                           out_dir=cfg.out_dir)
+    results = run_criteria(quick=args.quick, jobs=cfg.jobs, out_dir=cfg.out_dir)
     return EXIT_OK if all(r.passed for r in results) else EXIT_NO_CONVERGENCE
 
 

@@ -33,7 +33,6 @@ class RunConfig:
     orbit_samples: int = 2400
     out_dir: str = "fig8-out"
     jobs: int = 1
-    seed: int = 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -51,7 +50,6 @@ class RunConfig:
             "orbit_samples": self.orbit_samples,
             "out_dir": self.out_dir,
             "jobs": self.jobs,
-            "seed": self.seed,
         }
 
     @classmethod
@@ -69,7 +67,7 @@ class RunConfig:
                 if key in d:
                     kwargs[key] = float(d[key])
             for key in ("newton_max_iter", "scan_n_y0", "scan_n_v",
-                        "continuation_steps", "orbit_samples", "jobs", "seed"):
+                        "continuation_steps", "orbit_samples", "jobs"):
                 if key in d:
                     kwargs[key] = int(d[key])
             for key in ("scan_y0_range", "scan_v_range"):

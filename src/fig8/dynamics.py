@@ -9,6 +9,8 @@ concurrently.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "Vec2",
     "PotentialSpec",
@@ -140,18 +142,18 @@ class PotentialSpec:
             return math.exp(-r) - r ** -6.0
         return -math.exp(-self.a * r) / r
 
-    def du(self, r: float) -> float:
-        """Radial derivative u'(r)."""
+    def du(self, r):
+        """Radial derivative u'(r), for a float or a numpy array r."""
         if self.kind == "lj":
             return -self.b * r ** (-self.b - 1.0) + self.a * r ** (-self.a - 1.0)
         if self.kind == "homogeneous":
             return self.a * r ** (-self.a - 1.0)
         if self.kind == "morse":
-            e = math.exp(-self.a * (r - self.r0))
+            e = np.exp(-self.a * (r - self.r0))
             return 2.0 * self.a * e * (1.0 - e)
         if self.kind == "buckingham":
-            return -math.exp(-r) + 6.0 * r ** -7.0
-        e = math.exp(-self.a * r)
+            return -np.exp(-r) + 6.0 * r ** -7.0
+        e = np.exp(-self.a * r)
         return e * (self.a * r + 1.0) / (r * r)
 
     # -- derived constants ---------------------------------------------
@@ -222,8 +224,6 @@ class ThreeBodyState:
                     raise ValueError(f"bodies {i} and {j} coincide")
 
     def to_array(self):
-        import numpy as np
-
         q, p = self.q, self.p
         return np.array(
             [q[0].x, q[0].y, q[1].x, q[1].y, q[2].x, q[2].y,
@@ -241,9 +241,6 @@ class ThreeBodyState:
                Vec2(float(y[8]), float(y[9])),
                Vec2(float(y[10]), float(y[11]))),
         )
-
-    def pair_distance(self, i: int, j: int) -> float:
-        return (self.q[i] - self.q[j]).norm()
 
 
 @dataclass(frozen=True)
@@ -273,12 +270,45 @@ def pair_potential(r: float, spec: PotentialSpec) -> float:
     return spec.u(r)
 
 
+def _pair_g(spec: PotentialSpec):
+    """Force factor g(r^2) with force-on-i = g * (q_i - q_j), g = -u'(r)/r.
+
+    The one force law of the package: `pair_force`, `accelerations` and
+    the integrator's right-hand side all evaluate it. Every form takes a
+    float or a numpy array of squared distances. Specialized closed forms
+    for the quantitative families keep the hot loop in plain float
+    arithmetic.
+    """
+    if spec.kind == "lj" and spec.b == 12.0 and spec.a == 6.0:
+
+        def g(r2):
+            s = 1.0 / r2
+            s3 = s * s * s
+            return s3 * s * (12.0 * s3 - 6.0)
+
+        return g
+    if spec.kind == "homogeneous" and spec.a == 6.0:
+
+        def g(r2):
+            s = 1.0 / r2
+            return -6.0 * (s * s) * (s * s)
+
+        return g
+    du = spec.du
+
+    def g(r2):
+        r = np.sqrt(r2)
+        return -du(r) / r
+
+    return g
+
+
 def pair_force(r_vec: Vec2, spec: PotentialSpec) -> Vec2:
     """Force on a body displaced by r_vec from its partner: -u'(|r_vec|) r_vec/|r_vec|."""
-    r = r_vec.norm()
-    if r == 0.0:
+    r2 = r_vec.dot(r_vec)
+    if r2 == 0.0:
         raise ValueError("zero displacement has no defined pair force")
-    return r_vec * (-spec.du(r) / r)
+    return r_vec * float(_pair_g(spec)(r2))
 
 
 def accelerations(state: ThreeBodyState, spec: PotentialSpec) -> tuple[Vec2, Vec2, Vec2]:

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.integrate._ivp import dop853_coefficients as _dop
 from scipy.optimize import brentq
 
-from .dynamics import PotentialSpec, ThreeBodyState
+from .dynamics import PotentialSpec, ThreeBodyState, _pair_g
 
 __all__ = [
     "IntegratorConfig",
@@ -119,38 +119,12 @@ class EventNotFound(IntegrationError):
     """No collinearity sign change before the abort horizon."""
 
 
-def _pair_g(spec: PotentialSpec):
-    """Force factor g(r^2) with force-on-i = g * (q_i - q_j), g = -u'(r)/r.
-
-    Specialized closed forms for the quantitative families keep the hot
-    loop in plain float arithmetic.
-    """
-    if spec.kind == "lj" and spec.b == 12.0 and spec.a == 6.0:
-
-        def g(r2):
-            s = 1.0 / r2
-            s3 = s * s * s
-            return s3 * s * (12.0 * s3 - 6.0)
-
-        return g
-    if spec.kind == "homogeneous" and spec.a == 6.0:
-
-        def g(r2):
-            s = 1.0 / r2
-            return -6.0 * (s * s) * (s * s)
-
-        return g
-    du = spec.du
-
-    def g(r2):
-        r = math.sqrt(r2)
-        return -du(r) / r
-
-    return g
-
-
 def make_rhs(spec: PotentialSpec):
-    """Right-hand side of the first-order system y' = f(y), y = (q, qdot) flat."""
+    """Right-hand side of the first-order system y' = f(y), y = (q, qdot) flat.
+
+    The components of y may be floats or equal-length numpy arrays, one
+    state per array column.
+    """
     g = _pair_g(spec)
 
     def rhs(t, y):
@@ -203,11 +177,18 @@ class TrajectorySegment:
         return np.asarray(self._interp_at(t)(t), dtype=float)
 
     def eval_many(self, t) -> np.ndarray:
-        """Vectorized eval; returns shape (12, len(t))."""
-        t = np.asarray(t, dtype=float)
+        """Vectorized eval; returns shape (12, len(t)).
+
+        Times are grouped by interpolant, one array evaluation per group.
+        Each column equals `eval` at its time bit for bit.
+        """
+        t = np.asarray(t, dtype=float).ravel()
+        k = np.searchsorted(self.ts, t, side="right") - 1
+        np.clip(k, 0, len(self.interpolants) - 1, out=k)
         out = np.empty((12, t.size))
-        for i, ti in enumerate(t.ravel()):
-            out[:, i] = self.eval(ti)
+        for j in np.unique(k):
+            sel = np.flatnonzero(k == j)
+            out[:, sel] = self.interpolants[j](t[sel])
         return out
 
     def state(self, t: float) -> ThreeBodyState:
@@ -221,8 +202,7 @@ class TrajectorySegment:
             for line in header_lines:
                 fh.write(f"# {line}\n")
             fh.write(cols + "\n")
-            for ti in ts:
-                y = self.eval(ti)
+            for ti, y in zip(ts, self.eval_many(ts).T):
                 fh.write(",".join(f"{val:.17g}" for val in (ti, *y)) + "\n")
 
 

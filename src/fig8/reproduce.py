@@ -90,8 +90,10 @@ class ReproduceContext:
     """Lazy cache of the expensive artifacts the criteria share."""
 
     def __init__(self, jobs: int = 1, quick: bool = False):
+        if jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {jobs}")
         self.cfg = IntegratorConfig()
-        self.jobs = max(1, jobs)
+        self.jobs = jobs
         self.quick = quick
         self.records = []          # every converged solution seen (criterion 10)
         self._cache = {}

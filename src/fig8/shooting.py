@@ -169,6 +169,8 @@ def scan_grid(x0: float, y0_range: tuple[float, float], v_range: tuple[float, fl
         raise ValueError("grid needs at least 2 points per axis")
     if not (0 < y0_range[0] < y0_range[1] and 0 < v_range[0] < v_range[1]):
         raise ValueError("ranges must be positive and ordered")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     y0_axis = np.linspace(y0_range[0], y0_range[1], n_y0)
     v_axis = np.linspace(v_range[0], v_range[1], n_v)
     tasks = [(x0, y0, v, spec, cfg) for y0 in y0_axis for v in v_axis]

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from fig8.dynamics import (PotentialSpec, ShootingParams, Vec2, isosceles_state,
-                           pair_force, pair_potential, total_energy)
+from fig8.dynamics import (PotentialSpec, ShootingParams, ThreeBodyState, Vec2,
+                           accelerations, isosceles_state, pair_force,
+                           pair_potential, total_energy)
 from fig8.integrate import IntegratorConfig, integrate_to_collinear
 from fig8.shooting import newton_solve, record_from_params
 from fig8.analysis import (FullOrbit, build_full_orbit, collision_count,
@@ -225,6 +226,43 @@ class TestCurvature:
         orbit = FullOrbit(T=1.0, t=t, q=q, p=p)
         kap = curvature_profile(orbit, LJ)
         assert np.isnan(kap[:, 1]).all()
+
+
+    @pytest.mark.parametrize("spec", [
+        LJ, H6, PotentialSpec.lj(10, 4), PotentialSpec.homogeneous(4),
+        PotentialSpec.morse(2.0, 1.1), PotentialSpec.buckingham(),
+        PotentialSpec.screened_coulomb(1.5),
+    ], ids=lambda s: s.kind)
+    def test_matches_per_sample_oracle(self, spec):
+        # a breathing, rotating triangle with arbitrary velocities; body 0
+        # rests at the first sample
+        n = 48
+        t = np.arange(n) * (1.0 / n)
+        q = np.empty((3, n, 2))
+        p = np.empty((3, n, 2))
+        for i in range(3):
+            ang = 2 * math.pi * (t + i / 3)
+            rad = 0.8 + 0.2 * np.sin(2 * math.pi * t * (i + 1))
+            q[i, :, 0] = rad * np.cos(ang)
+            q[i, :, 1] = rad * np.sin(ang)
+            p[i, :, 0] = np.cos(3 * ang + i)
+            p[i, :, 1] = 0.5 * np.sin(ang - i)
+        p[0, 0] = 0.0
+        kap = curvature_profile(FullOrbit(T=1.0, t=t, q=q, p=p), spec)
+
+        oracle = np.empty(n)
+        for k in range(n):
+            state = ThreeBodyState(
+                t=float(t[k]),
+                q=tuple(Vec2(float(q[i, k, 0]), float(q[i, k, 1])) for i in range(3)),
+                p=tuple(Vec2(float(p[i, k, 0]), float(p[i, k, 1])) for i in range(3)))
+            a, v = accelerations(state, spec)[0], state.p[0]
+            oracle[k] = abs(v.cross(a)) / v.norm() ** 3 if v.norm() > 0 else math.nan
+        assert kap[:, 0].tolist() == t.tolist()
+        at_rest = [True] + [False] * (n - 1)
+        assert np.isnan(oracle).tolist() == at_rest
+        assert np.isnan(kap[:, 1]).tolist() == at_rest
+        assert np.nanmax(np.abs(kap[:, 1] - oracle)) <= 1e-12 * np.nanmax(oracle)
 
 
 class TestConfigurationExtrema:

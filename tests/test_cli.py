@@ -36,6 +36,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_config_carrying_seed_still_loads(self, tmp_path):
+        # older configs stamped an unused "seed" field
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(RunConfig().to_json_dict() | {"seed": 7}))
+        assert load_config(path) == RunConfig()
+
     def test_unknown_schema_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig.from_json_dict({"schema": 99})
@@ -138,7 +144,7 @@ class TestScan:
         grid_json = json.loads((tmp_path / "grid_x0_0.75.json").read_text())
         assert grid_json["config"]["scan_n_y0"] == 200  # defaults embedded
 
-    @pytest.mark.parametrize("flag", ["--y0-min", "--ny"])
+    @pytest.mark.parametrize("flag", ["--y0-min", "--ny", "--jobs"])
     def test_explicit_zero_reaches_validation(self, tmp_path, flag):
         # an explicit 0 is not replaced by the config default
         args = {"--y0-min": 0.70, "--y0-max": 0.76, "--v-min": 0.49,
@@ -252,3 +258,6 @@ class TestReproduceCommand:
         assert {r["criterion"] for r in ran} == {1, 2, 6, 8, 11}
         assert all(r["passed"] for r in ran)
         assert out.count("[PASS]") == len(ran)
+
+    def test_zero_jobs_exits_5(self, tmp_path):
+        assert run_cli("reproduce", "--quick", "--jobs", 0, "-o", tmp_path) == 5

@@ -133,6 +133,40 @@ class TestSegment:
         with pytest.raises(ValueError):
             TrajectorySegment([0.0, 1.0], [], 1.0)
 
+    def test_eval_many_equals_eval_bit_for_bit(self):
+        seg = integrate(isosceles_state(ALPHA), LJ, 3.0, CFG)
+        # unsorted, repeated, both ends and every step boundary
+        ts = np.concatenate([[0.0, seg.t_end], seg.ts, seg.ts[::-1],
+                             np.linspace(0.0, seg.t_end, 101)[::-1]])
+        many = seg.eval_many(ts)
+        assert many.shape == (12, ts.size)
+        for k, t in enumerate(ts):
+            assert many[:, k].tolist() == seg.eval(t).tolist()
+
+
+# every potential family; the first two use the closed forms of the force table
+ALL_KINDS = [LJ, H6, PotentialSpec.lj(10, 4), PotentialSpec.homogeneous(4),
+             PotentialSpec.morse(2.0, 1.1), PotentialSpec.buckingham(),
+             PotentialSpec.screened_coulomb(1.5)]
+
+
+class TestRhsOnArrays:
+    @pytest.mark.parametrize("spec", ALL_KINDS, ids=lambda s: s.kind)
+    def test_array_columns_match_float_evaluation(self, spec):
+        rng = np.random.default_rng(5)
+        n = 40
+        y = rng.uniform(-0.6, 0.6, (12, n))
+        y[:6] += np.array([1.0, 0.0, -0.5, 0.9, -0.5, -0.9])[:, None]
+        rhs = fig8_integrate.make_rhs(spec)
+        many = np.array(rhs(0.0, y))
+        assert many.shape == (12, n)
+        for k in range(n):
+            ref = np.array(rhs(0.0, y[:, k].tolist()), dtype=float)
+            if spec in (LJ, H6):
+                assert many[:, k].tolist() == ref.tolist()
+            else:
+                assert np.abs(many[:, k] - ref).max() <= 1e-15 * np.abs(ref).max()
+
 
 class TestCollinearEvent:
     def test_homogeneous_event_time(self):

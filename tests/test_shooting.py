@@ -188,6 +188,11 @@ class TestScanGrid:
         with pytest.raises(ValueError):
             scan_grid(0.75, (0.6, 0.7), (0.2, 0.4), 1, 3, LJ, CFG)
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_nonpositive_jobs_rejected(self, jobs):
+        with pytest.raises(ValueError):
+            scan_grid(0.75, (0.6, 0.7), (0.2, 0.4), 3, 3, LJ, CFG, jobs=jobs)
+
     def test_csv_and_json_export(self, tmp_path):
         grid = scan_grid(0.75, (0.70, 0.74), (0.50, 0.54), 3, 3, LJ, CFG)
         path = tmp_path / "grid.csv"
