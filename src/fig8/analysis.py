@@ -23,8 +23,9 @@ import numpy as np
 # accelerations stays bound for the hooks of perfbench/tracing.py
 from .dynamics import (PotentialSpec, ThreeBodyState, accelerations,  # noqa: F401
                        isosceles_state, total_energy)
-from .integrate import (IntegratorConfig, TrajectorySegment, integrate,
-                        integrate_to_collinear, make_rhs)
+from .artifacts import write_csv
+from .integrate import (STATE_CSV_COLUMNS, IntegratorConfig, TrajectorySegment,
+                        integrate, integrate_to_collinear, make_rhs)
 from .shooting import SolutionRecord
 
 __all__ = [
@@ -126,17 +127,8 @@ class FullOrbit:
         return float(np.hypot(*(q[i] - q[j])))
 
     def to_csv(self, path, header_lines: tuple[str, ...] = ()):
-        with open(path, "w") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            fh.write("t,x0,y0,x1,y1,x2,y2,vx0,vy0,vx1,vy1,vx2,vy2\n")
-            for k in range(self.n_samples):
-                row = [self.t[k]]
-                for i in range(3):
-                    row += [self.q[i, k, 0], self.q[i, k, 1]]
-                for i in range(3):
-                    row += [self.p[i, k, 0], self.p[i, k, 1]]
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        write_csv(path, header_lines, STATE_CSV_COLUMNS,
+                  np.column_stack([self.t, *self.q, *self.p]).tolist())
 
 
 def build_full_orbit(segment: TrajectorySegment, t_f: float,
@@ -299,7 +291,6 @@ def _pair_intervals(orbit: FullOrbit, i: int, j: int, r0: float):
         raise ValueError(f"pair ({i},{j}) never leaves the repulsive core")
     n = orbit.n_samples
     dt = orbit.T / n
-    refinable = orbit._segment is not None
 
     # entry at k: sample k-1 above, sample k at/below (cyclic)
     entries = [k for k in range(n) if below[k] and not below[k - 1]]
@@ -311,28 +302,16 @@ def _pair_intervals(orbit: FullOrbit, i: int, j: int, r0: float):
         # crossing times bracketed by the samples on each side
         t_in_lo, t_in_hi = (k - 1) * dt, k * dt
         t_out_lo, t_out_hi = (m - 1) * dt, m * dt
-        if refinable:
-            t_start = _refine_crossing(orbit, i, j, r0, t_in_lo, t_in_hi)
-            t_end = _refine_crossing(orbit, i, j, r0, t_out_lo, t_out_hi)
-        else:
-            t_start = t_in_lo + dt * _linear_frac(r[(k - 1) % n] - r0, r[k % n] - r0)
-            t_end = t_out_lo + dt * _linear_frac(r[(m - 1) % n] - r0, r[m % n] - r0)
+        t_start = _refine_crossing(orbit, i, j, r0, t_in_lo, t_in_hi)
+        t_end = _refine_crossing(orbit, i, j, r0, t_out_lo, t_out_hi)
         # deepest approach inside the interval
         ks = np.arange(k, m) % n
-        kmin = int(ks[np.argmin(r[ks])])
-        t_min = kmin * dt
-        r_min_val = float(r[kmin])
-        if refinable:
-            t_min, r_min_val = _refine_minimum(orbit, i, j,
-                                               t_min - dt, t_min + dt)
+        t_min = int(ks[np.argmin(r[ks])]) * dt
+        t_min, r_min_val = _refine_minimum(orbit, i, j, t_min - dt, t_min + dt)
         intervals.append(CollisionInterval(i=i, j=j, t_start=t_start,
                                            t_end=t_end, r_min_value=r_min_val,
                                            t_at_min=t_min % orbit.T))
     return intervals
-
-
-def _linear_frac(fa: float, fb: float) -> float:
-    return fa / (fa - fb) if fa != fb else 0.5
 
 
 def _refine_minimum(orbit: FullOrbit, i: int, j: int, lo: float, hi: float,
@@ -374,7 +353,10 @@ def _wrapped_overlap(a: CollisionInterval, b: CollisionInterval, T: float) -> bo
 
 
 def collision_report(orbit: FullOrbit, spec: PotentialSpec) -> CollisionReport:
-    """Count repulsive-core passages: intervals with r_ij <= r_min of u."""
+    """Count repulsive-core passages: intervals with r_ij <= r_min of u.
+    Crossings and minima are refined on the orbit's dense segment."""
+    if orbit._segment is None:
+        raise ValueError("collision_report needs an orbit with a dense segment")
     r0 = spec.r_min
     if r0 is None:
         raise ValueError(f"potential kind {spec.kind!r} has no finite minimum; "

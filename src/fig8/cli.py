@@ -1,28 +1,30 @@
 """Command-line front end.
 
-Subcommands: scan, solve, continue, analyze, reproduce. Every output
-file embeds the run configuration and the package version so a run can
-be reproduced from its own artifacts. Exit codes: 0 success,
-2 no-convergence, 3 integrator failure, 4 I/O error, 5 bad config.
+Subcommands: scan, solve, continue, analyze, reproduce. Every output file
+is written through `fig8.artifacts` with the run configuration and the
+package version, so a run can be reproduced from its own artifacts.
+Exit codes: 0 success, 2 no-convergence, 3 integrator failure, 4 I/O
+error, 5 bad config.
 """
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
 
 from . import __version__
+from .artifacts import (comment_lines, json_text, read_record, stamp,
+                        write_json)
 from .config import ConfigError, RunConfig, load_config, parse_potential
 from .dynamics import ShootingParams, isosceles_state
-from .integrate import IntegrationError, integrate_to_collinear
+from .integrate import IntegrationError, IntegratorConfig, integrate_to_collinear
 from .shooting import (NewtonDivergence, SolverError, energy_in_published_range,
                        find_seeds, newton_solve, scan_grid,
                        solution_record_from_json, solution_record_json)
-from .analysis import (build_full_orbit, collision_report, orbit_from_record,
-                       orbit_summary)
-from .continuation import (SPECIAL_KINDS, SpecialPointNotFound, continue_family,
-                           locate_special)
+from .analysis import (build_full_orbit, collision_count, collision_report,
+                       orbit_from_record, orbit_summary)
+from .continuation import (SPECIAL_KINDS, ContinuationSeries,
+                           SpecialPointNotFound, continue_family, locate_special)
 
 EXIT_OK = 0
 EXIT_NO_CONVERGENCE = 2
@@ -53,16 +55,13 @@ def _out_dir(cfg: RunConfig) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     return out
 
-def _stamp(cfg: RunConfig) -> dict:
-    return {"version": __version__, "config": cfg.to_json_dict()}
 
-
-def _csv_header(cfg: RunConfig, extra: dict | None = None) -> tuple[str, ...]:
-    lines = [f"version: {__version__}",
-             f"config: {json.dumps(cfg.to_json_dict())}"]
-    if extra:
-        lines.append(f"record: {json.dumps(extra)}")
-    return tuple(lines)
+def _load_record(path):
+    """The solution record of a record JSON or an orbit CSV; ConfigError if none."""
+    try:
+        return solution_record_from_json(read_record(path))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path} is not a solution record: {exc!r}") from exc
 
 
 def cmd_scan(args) -> int:
@@ -78,18 +77,12 @@ def cmd_scan(args) -> int:
     seeds = find_seeds(grid)
     out = _out_dir(cfg)
     tag = f"x0_{args.x0:g}"
-    grid.to_csv(out / f"grid_{tag}.csv", header_lines=_csv_header(cfg))
-    payload = _stamp(cfg) | grid.to_json_dict()
-    with open(out / f"grid_{tag}.json", "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
-    seeds_payload = _stamp(cfg) | {
+    grid.to_csv(out / f"grid_{tag}.csv", header_lines=comment_lines(stamp(cfg)))
+    write_json(out / f"grid_{tag}.json", stamp(cfg) | grid.to_json_dict())
+    write_json(out / f"seeds_{tag}.json", stamp(cfg) | {
         "x0": args.x0,
         "seeds": [{"x0": s.x0, "y0": s.y0, "v": s.v} for s in seeds],
-    }
-    with open(out / f"seeds_{tag}.json", "w") as fh:
-        json.dump(seeds_payload, fh, indent=2)
-        fh.write("\n")
+    })
     n_fail = sum(1 for row in grid.samples for s in row if not s.ok)
     print(f"scan x0={args.x0}: {n_y0}x{n_v} cells, {n_fail} failed, "
           f"{len(seeds)} seed(s) -> {out}/seeds_{tag}.json")
@@ -110,12 +103,9 @@ def cmd_solve(args) -> int:
     out = _out_dir(cfg)
     tag = f"x0_{record.params.x0:g}_y0_{record.params.y0:.6f}"
     rec_path = out / f"solution_{tag}.json"
-    payload = _stamp(cfg) | solution_record_json(record, cfg.integrator)
-    with open(rec_path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    orbit.to_csv(out / f"orbit_{tag}.csv",
-                 header_lines=_csv_header(cfg, solution_record_json(record)))
+    write_json(rec_path, stamp(cfg) | solution_record_json(record, cfg.integrator))
+    orbit.to_csv(out / f"orbit_{tag}.csv", header_lines=comment_lines(
+        stamp(cfg) | {"record": solution_record_json(record)}))
     print(f"converged: x0={record.params.x0:.9g} y0={record.params.y0:.9g} "
           f"v={record.params.v:.9g}")
     print(f"T={record.T:.6f} E={record.E:.8g} residual={record.residual_norm:.2e} "
@@ -131,38 +121,31 @@ def cmd_solve(args) -> int:
 
 def cmd_continue(args) -> int:
     cfg = _resolve_config(args)
-    with open(args.record) as fh:
-        record = solution_record_from_json(json.load(fh))
+    record = _load_record(args.record)
     label = args.label or record.series_label or "series"
     if args.steps == 0:
-        series_points = [record.with_label(label)]
-        out = _out_dir(cfg)
-        path = out / f"series_{label}.csv"
-        from .continuation import ContinuationSeries
-
-        series = ContinuationSeries(label=label, points=series_points)
-        series.to_csv(path, header_lines=_csv_header(cfg))
-        print(f"steps=0: echoed input record to {path}")
-        return EXIT_OK
-    series = continue_family(
-        record, record.potential, cfg.integrator,
-        step=_given(args.step, cfg.continuation_step),
-        n_steps=_given(args.steps, cfg.continuation_steps),
-        direction=args.direction,
-        tol=_given(args.tol, cfg.newton_tol),
-        x0_limits=(_given(args.x0_min, -math.inf), _given(args.x0_max, math.inf)),
-        label=label,
-    )
-    if args.n0:
-        from .analysis import collision_count
-
-        pts = [p.with_n0(collision_count(p, cfg.integrator,
-                                         n_samples=cfg.orbit_samples))
-               for p in series.points]
-        series.points = pts
+        series = ContinuationSeries(label=label, points=[record.with_label(label)])
+    else:
+        series = continue_family(
+            record, record.potential, cfg.integrator,
+            step=_given(args.step, cfg.continuation_step),
+            n_steps=_given(args.steps, cfg.continuation_steps),
+            direction=args.direction,
+            tol=_given(args.tol, cfg.newton_tol),
+            x0_limits=(_given(args.x0_min, -math.inf),
+                       _given(args.x0_max, math.inf)),
+            label=label,
+        )
+        if args.n0:
+            series.points = [p.with_n0(collision_count(p, cfg.integrator,
+                                                       n_samples=cfg.orbit_samples))
+                             for p in series.points]
     out = _out_dir(cfg)
     path = out / f"series_{label}.csv"
-    series.to_csv(path, header_lines=_csv_header(cfg))
+    series.to_csv(path, header_lines=comment_lines(stamp(cfg)))
+    if args.steps == 0:
+        print(f"steps=0: echoed input record to {path}")
+        return EXIT_OK
     specials = {}
     for kind in SPECIAL_KINDS:
         try:
@@ -170,11 +153,8 @@ def cmd_continue(args) -> int:
             specials[kind] = solution_record_json(rec)
         except (SpecialPointNotFound, SolverError, IntegrationError):
             continue
-    spath = out / f"series_{label}_special.json"
-    with open(spath, "w") as fh:
-        json.dump(_stamp(cfg) | {"label": label, "special_points": specials},
-                  fh, indent=2)
-        fh.write("\n")
+    write_json(out / f"series_{label}_special.json",
+               stamp(cfg) | {"label": label, "special_points": specials})
     xs = series.x0_values()
     print(f"series {label}: {len(series.points)} points, "
           f"x0 in [{xs.min():.6g}, {xs.max():.6g}], "
@@ -189,7 +169,7 @@ def cmd_continue(args) -> int:
 def cmd_analyze(args) -> int:
     cfg = _resolve_config(args)
     path = Path(args.record)
-    record = _load_record_any(path)
+    record = _load_record(path)
     cfg = cfg.override(potential=record.potential)
     state0 = isosceles_state(record.params)
     t_f, _, segment = integrate_to_collinear(state0, record.potential, cfg.integrator)
@@ -201,37 +181,25 @@ def cmd_analyze(args) -> int:
     summary["residual_norm"] = record.residual_norm
     out = _out_dir(cfg)
     opath = out / f"analysis_{path.stem}.json"
-    with open(opath, "w") as fh:
-        json.dump(_stamp(cfg) | summary, fh, indent=2)
-        fh.write("\n")
-    print(json.dumps(summary, indent=2))
+    write_json(opath, stamp(cfg) | summary)
+    print(json_text(summary))
     print(f"wrote {opath}")
     return EXIT_OK
 
 
-def _load_record_any(path: Path):
-    """Accept a solution-record JSON or an orbit CSV carrying a record header."""
-    if path.suffix == ".csv":
-        with open(path) as fh:
-            for line in fh:
-                if line.startswith("# record:"):
-                    return solution_record_from_json(
-                        json.loads(line.split(":", 1)[1]))
-                if not line.startswith("#"):
-                    break
-        raise ConfigError(f"{path} carries no embedded solution record")
-    with open(path) as fh:
-        try:
-            return solution_record_from_json(json.load(fh))
-        except (json.JSONDecodeError, KeyError) as exc:
-            raise ConfigError(f"{path} is not a solution record: {exc}") from exc
-
-
 def cmd_reproduce(args) -> int:
-    from .reproduce import run_criteria
+    from .reproduce import LJ, run_criteria
 
     cfg = _resolve_config(args)
-    results = run_criteria(quick=args.quick, jobs=cfg.jobs, out_dir=cfg.out_dir)
+    if args.potential or (cfg.potential, cfg.integrator) != (LJ, IntegratorConfig()):
+        raise ConfigError("reproduce checks the published LJ(12,6) results at the "
+                          "default integrator settings; it takes no --potential "
+                          "and no potential or integrator from --config")
+    results = run_criteria(quick=args.quick, jobs=cfg.jobs)
+    write_json(_out_dir(cfg) / "reproduce_report.json", stamp(cfg) | {
+        "quick": args.quick,
+        "results": [r.to_json_dict() for r in results],
+    })
     return EXIT_OK if all(r.passed for r in results) else EXIT_NO_CONVERGENCE
 
 

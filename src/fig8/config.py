@@ -6,6 +6,7 @@ parameters, and output location. Command-line flags override file values.
 import json
 from dataclasses import dataclass, field, replace
 
+from .artifacts import write_json
 from .dynamics import PotentialSpec
 from .integrate import IntegratorConfig
 
@@ -83,9 +84,7 @@ class RunConfig:
             raise ConfigError(f"bad config: {exc}") from exc
 
     def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     def override(self, **kwargs) -> "RunConfig":
         kwargs = {k: v for k, v in kwargs.items() if v is not None}

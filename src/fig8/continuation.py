@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import write_csv
 from .dynamics import PotentialSpec
 from .integrate import IntegrationError, IntegratorConfig
 from .shooting import (ResidualSample, SolutionRecord, SolverError, fd_jacobian,
@@ -67,14 +68,8 @@ class ContinuationSeries:
         return np.array([p.params.x0 for p in self.points])
 
     def to_csv(self, path, header_lines: tuple[str, ...] = ()):
-        with open(path, "w") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            fh.write("label,x0,y0,v,T,E,n0\n")
-            for p in self.points:
-                n0 = "" if p.n0 is None else str(p.n0)
-                fh.write(f"{self.label},{p.params.x0:.17g},{p.params.y0:.17g},"
-                         f"{p.params.v:.17g},{p.T:.17g},{p.E:.17g},{n0}\n")
+        write_csv(path, header_lines, "label,x0,y0,v,T,E,n0".split(","),
+                  ((self.label, *p.params, p.T, p.E, p.n0) for p in self.points))
 
 
 def _normal_plane(tangent: np.ndarray) -> np.ndarray:

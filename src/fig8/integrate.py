@@ -32,6 +32,7 @@ import numpy as np
 from scipy.integrate._ivp import dop853_coefficients as _dop
 from scipy.optimize import brentq
 
+from .artifacts import write_csv
 from .dynamics import PotentialSpec, ThreeBodyState, _pair_g
 
 __all__ = [
@@ -146,6 +147,10 @@ def make_rhs(spec: PotentialSpec):
     return rhs
 
 
+# columns of the sampled-state CSVs of segments and full orbits
+STATE_CSV_COLUMNS = "t,x0,y0,x1,y1,x2,y2,vx0,vy0,vx1,vy1,vx2,vy2".split(",")
+
+
 class TrajectorySegment:
     """Dense record of one integrated trajectory on [0, t_end].
 
@@ -197,13 +202,8 @@ class TrajectorySegment:
     def to_csv(self, path, n_samples: int = 1000, header_lines: tuple[str, ...] = ()):
         """Uniform sampling of the covered interval to a CSV file."""
         ts = np.linspace(0.0, self.t_end, n_samples)
-        cols = "t,x0,y0,x1,y1,x2,y2,vx0,vy0,vx1,vy1,vx2,vy2"
-        with open(path, "w") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            fh.write(cols + "\n")
-            for ti, y in zip(ts, self.eval_many(ts).T):
-                fh.write(",".join(f"{val:.17g}" for val in (ti, *y)) + "\n")
+        write_csv(path, header_lines, STATE_CSV_COLUMNS,
+                  np.vstack([ts, self.eval_many(ts)]).T.tolist())
 
 
 def _collinearity_flat(y) -> float:
@@ -345,98 +345,102 @@ def _propagate(state0: ThreeBodyState, spec: PotentialSpec, cfg: IntegratorConfi
     k_first, k_end = K[0], K[_N_STAGES]
     kt_sol, kt_err = KT[_N_STAGES], KT[_N_STAGES + 1]
 
-    k_end[:] = rhs(0.0, y.tolist())
-    h_abs = _initial_step(rhs, y, k_end, t_bound, max_step, rtol, atol)
-    min_d2 = cfg.min_distance ** 2
-    if _min_pair_dist_sq(y) < min_d2:
-        raise TrajectoryFailure("bodies closer than min_distance", 0.0)
-
     t = 0.0
-    ts = [t]
-    interps = []
-    prev_t = t
-    prev_c = _collinearity_flat(y)
+    try:
+        k_end[:] = rhs(t, y.tolist())
+        h_abs = _initial_step(rhs, y, k_end, t_bound, max_step, rtol, atol)
+        min_d2 = cfg.min_distance ** 2
+        if _min_pair_dist_sq(y) < min_d2:
+            raise TrajectoryFailure("bodies closer than min_distance", 0.0)
 
-    while True:
-        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
-        if h_abs > max_step:
-            h_abs = max_step
-        elif h_abs < min_step:
-            h_abs = min_step
-        k_first[:] = k_end
-        rejected = False
+        ts = [t]
+        interps = []
+        prev_t = t
+        prev_c = _collinearity_flat(y)
+
         while True:
-            if h_abs < min_step:
-                raise StiffnessFailure("stepper breakdown (step-size underflow)", t)
-            t_new = t + h_abs
-            if t_new - t_bound > 0:
-                t_new = t_bound
-            h = t_new - t
-            h_abs = abs(h)
-            for row, kt, a, c in step_stages:
-                row[:] = rhs(t + c * h, (y + np.dot(kt, a) * h).tolist())
-            y_new = y + h * np.dot(kt_sol, _dop.B)
-            y_list = y_new.tolist()
-            k_end[:] = rhs(t + h, y_list)
+            min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+            if h_abs > max_step:
+                h_abs = max_step
+            elif h_abs < min_step:
+                h_abs = min_step
+            k_first[:] = k_end
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    raise StiffnessFailure("stepper breakdown (step-size underflow)", t)
+                t_new = t + h_abs
+                if t_new - t_bound > 0:
+                    t_new = t_bound
+                h = t_new - t
+                h_abs = abs(h)
+                for row, kt, a, c in step_stages:
+                    row[:] = rhs(t + c * h, (y + np.dot(kt, a) * h).tolist())
+                y_new = y + h * np.dot(kt_sol, _dop.B)
+                y_list = y_new.tolist()
+                k_end[:] = rhs(t + h, y_list)
 
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5 = np.dot(kt_err, _dop.E5) / scale
-            err3 = np.dot(kt_err, _dop.E3) / scale
-            err5_2 = math.sqrt(err5.dot(err5)) ** 2
-            err3_2 = math.sqrt(err3.dot(err3)) ** 2
-            if err5_2 == 0 and err3_2 == 0:
-                error_norm = 0.0
-            else:
-                denom = err5_2 + 0.01 * err3_2
-                error_norm = abs(h) * err5_2 / math.sqrt(denom * scale.size)
-
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = _MAX_FACTOR
+                scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+                err5 = np.dot(kt_err, _dop.E5) / scale
+                err3 = np.dot(kt_err, _dop.E3) / scale
+                err5_2 = math.sqrt(err5.dot(err5)) ** 2
+                err3_2 = math.sqrt(err3.dot(err3)) ** 2
+                if err5_2 == 0 and err3_2 == 0:
+                    error_norm = 0.0
                 else:
-                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
-                if rejected:
-                    factor = min(1, factor)
-                h_abs *= factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
-            rejected = True
+                    denom = err5_2 + 0.01 * err3_2
+                    error_norm = abs(h) * err5_2 / math.sqrt(denom * scale.size)
 
-        t_old, y_old, t, y = t, y, t_new, y_new
-        for row, kt, a, c in dense_stages:
-            row[:] = rhs(t_old + c * h, (y_old + np.dot(kt, a) * h).tolist())
-        F = np.empty((_dop.INTERPOLATOR_POWER, 12))
-        delta_y = y - y_old
-        F[0] = delta_y
-        F[1] = h * k_first - delta_y
-        F[2] = 2 * delta_y - h * (k_end + k_first)
-        F[3:] = h * np.dot(_dop.D, K)
-        interp = _StepInterpolant(t_old, t, y_old, F)
-        interps.append(interp)
-        ts.append(t)
-
-        if find_collinear:
-            # the four probes in one pass over the six position components
-            probes = _probe_times(prev_t, t)
-            x = (np.array(probes) - t_old) / interp.h
-            q = _dense_sum(F[:, :6], y_old[:6], x[:, None], np.zeros((len(probes), 6)))
-            cs = ((q[:, 2] - q[:, 0]) * (q[:, 5] - q[:, 1])
-                  - (q[:, 3] - q[:, 1]) * (q[:, 4] - q[:, 0])).tolist()
-            for tt, c in zip(probes, cs):
-                if c == 0.0 or (prev_c > 0.0) != (c > 0.0):
-                    if c == 0.0:
-                        te = tt
+                if error_norm < 1:
+                    if error_norm == 0:
+                        factor = _MAX_FACTOR
                     else:
-                        te = brentq(lambda s: _collinearity_flat(interp(s)),
-                                    prev_t, tt, xtol=1e-13, rtol=8.9e-16)
-                    seg = TrajectorySegment(ts, interps, te)
-                    return seg, te, interp(te)
-                prev_t, prev_c = tt, c
+                        factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                    if rejected:
+                        factor = min(1, factor)
+                    h_abs *= factor
+                    break
+                h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                rejected = True
 
-        if _min_pair_dist_sq(y_list) < min_d2:
-            raise TrajectoryFailure("bodies closer than min_distance", t)
-        if t - t_bound >= 0:
-            break
+            t_old, y_old, t, y = t, y, t_new, y_new
+            for row, kt, a, c in dense_stages:
+                row[:] = rhs(t_old + c * h, (y_old + np.dot(kt, a) * h).tolist())
+            F = np.empty((_dop.INTERPOLATOR_POWER, 12))
+            delta_y = y - y_old
+            F[0] = delta_y
+            F[1] = h * k_first - delta_y
+            F[2] = 2 * delta_y - h * (k_end + k_first)
+            F[3:] = h * np.dot(_dop.D, K)
+            interp = _StepInterpolant(t_old, t, y_old, F)
+            interps.append(interp)
+            ts.append(t)
+
+            if find_collinear:
+                # the four probes in one pass over the six position components
+                probes = _probe_times(prev_t, t)
+                x = (np.array(probes) - t_old) / interp.h
+                q = _dense_sum(F[:, :6], y_old[:6], x[:, None], np.zeros((len(probes), 6)))
+                cs = ((q[:, 2] - q[:, 0]) * (q[:, 5] - q[:, 1])
+                      - (q[:, 3] - q[:, 1]) * (q[:, 4] - q[:, 0])).tolist()
+                for tt, c in zip(probes, cs):
+                    if c == 0.0 or (prev_c > 0.0) != (c > 0.0):
+                        if c == 0.0:
+                            te = tt
+                        else:
+                            te = brentq(lambda s: _collinearity_flat(interp(s)),
+                                        prev_t, tt, xtol=1e-13, rtol=8.9e-16)
+                        seg = TrajectorySegment(ts, interps, te)
+                        return seg, te, interp(te)
+                    prev_t, prev_c = tt, c
+
+            if _min_pair_dist_sq(y_list) < min_d2:
+                raise TrajectoryFailure("bodies closer than min_distance", t)
+            if t - t_bound >= 0:
+                break
+    except ZeroDivisionError as exc:
+        # a trial stage at an exact zero pair distance, before min_distance sees it
+        raise TrajectoryFailure("zero pair distance", t) from exc
 
     if find_collinear:
         raise EventNotFound(

@@ -2,11 +2,12 @@
 
 Each criterion is an independent function over a shared lazy context so
 expensive artifacts (converged solutions, continuation series, grids)
-are built once. The `reproduce` CLI subcommand prints one pass/fail line
-per criterion; the acceptance test suite asserts the same results.
+are built once. `run_criteria` prints one pass/fail line per criterion
+and returns the results; it writes no file. The `reproduce` CLI
+subcommand writes them to `reproduce_report.json`, stamped like every
+other artifact, and the acceptance test suite asserts the same results.
 """
 
-import json
 import os
 import tempfile
 import time
@@ -14,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import read_record
 from .analysis import (collision_report, configuration_energy_extrema,
                        integrate_full_orbit, orbit_from_record,
                        verify_choreography)
@@ -84,6 +86,11 @@ class CriterionResult:
     def line(self) -> str:
         status = "SKIP" if self.skipped else ("PASS" if self.passed else "FAIL")
         return f"[{status}] criterion {self.cid:2d}: {self.title} ({self.elapsed:.1f}s)"
+
+    def to_json_dict(self) -> dict:
+        return {"criterion": self.cid, "title": self.title,
+                "passed": bool(self.passed), "skipped": self.skipped,
+                "elapsed_s": round(self.elapsed, 2), "details": self.details}
 
 
 class ReproduceContext:
@@ -273,8 +280,7 @@ def c01_homogeneous_baseline(ctx) -> CriterionResult:
         rec = None
         if code == 0:
             paths = [p for p in os.listdir(tmp) if p.startswith("solution")]
-            with open(os.path.join(tmp, paths[0])) as fh:
-                rec = solution_record_from_json(json.load(fh))
+            rec = solution_record_from_json(read_record(os.path.join(tmp, paths[0])))
             ctx.register(rec)
     if rec is not None:
         ok &= _check(details, abs(rec.params.y0 - 0.985945) <= 1e-4,
@@ -608,8 +614,8 @@ CRITERIA = [
 ]
 
 
-def run_criteria(quick: bool = False, jobs: int = 1,
-                 out_dir: str | None = None, verbose: bool = True):
+def run_criteria(quick: bool = False, jobs: int = 1, verbose: bool = True):
+    """Run the criteria and return their results; writes no file."""
     ctx = ReproduceContext(jobs=jobs, quick=quick)
     results = []
     for cid, func, in_quick in CRITERIA:
@@ -633,21 +639,4 @@ def run_criteria(quick: bool = False, jobs: int = 1,
         n_run = sum(1 for r in results if not r.skipped)
         print(f"\n{n_pass}/{n_run} criteria passed"
               + (f" ({len(results) - n_run} skipped)" if n_run < len(results) else ""))
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        from . import __version__
-
-        payload = {
-            "version": __version__,
-            "quick": quick,
-            "results": [
-                {"criterion": r.cid, "title": r.title, "passed": bool(r.passed),
-                 "skipped": r.skipped, "elapsed_s": round(r.elapsed, 2),
-                 "details": r.details}
-                for r in results
-            ],
-        }
-        with open(os.path.join(out_dir, "reproduce_report.json"), "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
     return results

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
+from .artifacts import write_csv
 from .dynamics import (PotentialSpec, ShootingParams, isosceles_state,
                        total_energy)
 from .integrate import (EventNotFound, IntegrationError, IntegratorConfig,
@@ -126,18 +127,9 @@ class ContourGrid:
 
     def to_csv(self, path, header_lines: tuple[str, ...] = ()):
         """Long-format CSV: one row per lattice point."""
-        with open(path, "w") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            fh.write("x0,y0,v,P,D,E,t_f,status\n")
-            for row in self.samples:
-                for s in row:
-                    fields = [f"{self.x0:.17g}", f"{s.params.y0:.17g}",
-                              f"{s.params.v:.17g}"]
-                    for val in (s.P, s.D, s.E, s.t_f):
-                        fields.append("" if val is None else f"{val:.17g}")
-                    fields.append(s.status)
-                    fh.write(",".join(fields) + "\n")
+        write_csv(path, header_lines, "x0,y0,v,P,D,E,t_f,status".split(","),
+                  ((self.x0, s.params.y0, s.params.v, s.P, s.D, s.E, s.t_f, s.status)
+                   for row in self.samples for s in row))
 
     def to_json_dict(self) -> dict:
         def matrix(attr):

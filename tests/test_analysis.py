@@ -169,6 +169,13 @@ class TestCollisions:
         with pytest.raises(ValueError):
             collision_report(alpha_orbit, H6)
 
+    def test_orbit_without_dense_segment_rejected(self, beta_record):
+        # a directly integrated orbit has samples only; nothing to refine on
+        direct = integrate_full_orbit(isosceles_state(beta_record.params), LJ,
+                                      CFG, beta_record.T, n_samples=240)
+        with pytest.raises(ValueError, match="dense segment"):
+            collision_report(direct, LJ)
+
 
 class TestCurvature:
     def test_uniform_circular_motion(self):

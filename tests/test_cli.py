@@ -8,6 +8,7 @@ from fig8 import __version__
 from fig8.cli import main
 from fig8.config import ConfigError, RunConfig, load_config, parse_potential
 from fig8.dynamics import PotentialSpec
+from fig8.integrate import IntegratorConfig
 from fig8.shooting import solution_record_from_json
 
 
@@ -247,6 +248,13 @@ class TestContinueAndAnalyze:
         bad.write_text("")
         assert run_cli("analyze", bad, "-o", tmp_path) == 5
 
+    @pytest.mark.parametrize("command", ["continue", "analyze"])
+    def test_record_without_params_exits_5(self, command, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"T": 20.4, "E": -0.3}))
+        assert run_cli(command, bad, "-o", tmp_path / "out") == 5
+        assert not (tmp_path / "out").exists()
+
 
 class TestReproduceCommand:
     def test_quick_profile(self, tmp_path, capsys):
@@ -261,3 +269,20 @@ class TestReproduceCommand:
 
     def test_zero_jobs_exits_5(self, tmp_path):
         assert run_cli("reproduce", "--quick", "--jobs", 0, "-o", tmp_path) == 5
+
+    def test_potential_flag_rejected(self, tmp_path):
+        # the criteria check the published LJ(12,6) results only
+        assert run_cli("reproduce", "--quick", "--potential", "homogeneous:6",
+                       "-o", tmp_path) == 5
+        assert not (tmp_path / "reproduce_report.json").exists()
+
+    @pytest.mark.parametrize("cfg", [
+        RunConfig(potential=PotentialSpec.homogeneous(6)),
+        RunConfig(integrator=IntegratorConfig(rel_tol=1e-9)),
+    ], ids=["potential", "integrator"])
+    def test_config_off_the_criteria_defaults_rejected(self, cfg, tmp_path):
+        path = tmp_path / "cfg.json"
+        cfg.save(path)
+        assert run_cli("reproduce", "--quick", "--config", path,
+                       "-o", tmp_path) == 5
+        assert not (tmp_path / "reproduce_report.json").exists()

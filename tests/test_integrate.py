@@ -18,6 +18,7 @@ from fig8.integrate import (_EVENT_PROBES, EventNotFound, IntegrationError,
                             _collinearity_flat, _min_pair_dist_sq,
                             _probe_times, collinearity, integrate,
                             integrate_to_collinear)
+from fig8.shooting import STATUS_TRAJECTORY_FAILURE, residuals
 
 LJ = PotentialSpec.lj()
 H6 = PotentialSpec.homogeneous(6)
@@ -298,6 +299,28 @@ class TestFailures:
         cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-10, t_max=77.0,
                                min_distance=0.01)
         assert IntegratorConfig.from_json_dict(cfg.to_json_dict()) == cfg
+
+    def test_zero_pair_distance_is_a_trajectory_failure(self, monkeypatch):
+        # the float force law raises ZeroDivisionError at an exact zero
+        # distance; stand it in on the 50th evaluation of a run
+        make_rhs = fig8_integrate.make_rhs
+
+        def dividing_by_zero(spec):
+            rhs, calls = make_rhs(spec), [0]
+
+            def stage(t, y):
+                calls[0] += 1
+                if calls[0] == 50:
+                    raise ZeroDivisionError("float division by zero")
+                return rhs(t, y)
+
+            return stage
+
+        monkeypatch.setattr(fig8_integrate, "make_rhs", dividing_by_zero)
+        with pytest.raises(TrajectoryFailure) as err:
+            integrate_to_collinear(isosceles_state(ALPHA), LJ, CFG)
+        assert 0.0 < err.value.t < 1.70239
+        assert residuals(ALPHA, LJ, CFG).status == STATUS_TRAJECTORY_FAILURE
 
 
 # -- bit parity with scipy's DOP853 solver object ----------------------------
