@@ -11,8 +11,11 @@ computes curvature and configuration-energy diagnostics.
 Everything works on arrays of flat states. Within one twelfth-period
 block a map fixes the source time, and its body permutation and sign
 flips are exact, so one array evaluation of the dense segment gives all
-three bodies bit for bit. Curvature evaluates the integrator's
-right-hand side, the package's one force law, on all samples at once.
+three bodies bit for bit; `FullOrbit.eval_many` does so at any times.
+Collision counting refines all of an orbit's interval brackets together
+on it, one array evaluation per round. Curvature evaluates the
+integrator's right-hand side, the package's one force law, on all
+samples at once.
 """
 
 import math
@@ -55,6 +58,8 @@ _BLOCK_MAPS = (
     # q_i(t + 3 t0) = (x_{2i+1}(t0 - t), -y_{2i+1}(t0 - t))
     (True, [1, 0, 2], (1.0, -1.0), (-1.0, 1.0)),
 )
+_REVERSE, _SOURCE, _Q_SIGNS, _P_SIGNS = (np.array(col) for col in zip(*_BLOCK_MAPS))
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _bodies(y: np.ndarray):
@@ -63,18 +68,19 @@ def _bodies(y: np.ndarray):
             y[6:].reshape(3, 2, -1).transpose(0, 2, 1))
 
 
-def _map_segment_eval(seg: TrajectorySegment, t0: float, block: int,
-                      tau: np.ndarray):
-    """Positions/velocities of all bodies on block*t0 + tau via the symmetry maps.
+def _map_segment_eval(seg: TrajectorySegment, t0: float, block: np.ndarray,
+                      tau: np.ndarray, shift=0):
+    """(q, p), each (3, len(tau), 2), of all bodies at (4 shift + block) t0 + tau.
 
-    tau must lie in [0, t0]; block in 0..3. The block fixes the source
-    time, so one segment evaluation serves the three bodies; the
-    permutation and sign flips are exact. Returns (q, p), each of shape
-    (3, len(tau), 2).
+    tau lies in [0, t0]; block (0..3) and the one-third shift (0..2) are
+    integers or arrays broadcast against it. One segment evaluation serves
+    all bodies; the maps' body permutations and sign flips are exact.
     """
-    reverse, src, qs, ps = _BLOCK_MAPS[block]
-    q, p = _bodies(seg.eval_many(np.clip(t0 - tau if reverse else tau, 0.0, t0)))
-    return q[src] * qs, p[src] * ps
+    q, p = _bodies(seg.eval_many(np.clip(np.where(_REVERSE[block], t0 - tau, tau),
+                                         0.0, t0)))
+    body = _SOURCE[block, (np.arange(3)[:, None] + shift) % 3]
+    cols = np.arange(tau.size)
+    return q[body, cols] * _Q_SIGNS[block], p[body, cols] * _P_SIGNS[block]
 
 
 @dataclass
@@ -105,18 +111,20 @@ class FullOrbit:
 
     def eval(self, t: float):
         """(q, p) with shape (3, 2) at arbitrary t, using the symmetry maps."""
+        q, p = self.eval_many([t])
+        return q[:, 0], p[:, 0]
+
+    def eval_many(self, t):
+        """(q, p), each of shape (3, len(t), 2), at arbitrary times t; one
+        segment evaluation serves them all."""
         if self._segment is None:
             raise ValueError("orbit carries no dense segment; use the samples")
         t0 = self._t0
-        tm = t % (12.0 * t0)
-        shift, rem = divmod(tm, 4.0 * t0)
-        block, tau = divmod(rem, t0)
-        block = int(min(block, 3))
-        tau = rem - block * t0
-        shift = int(min(shift, 2))
-        q, p = _map_segment_eval(self._segment, t0, block, np.array([tau]))
-        src = [(i + shift) % 3 for i in range(3)]
-        return q[src, 0], p[src, 0]
+        shift, rem = np.divmod(np.mod(np.asarray(t, dtype=float).ravel(), 12.0 * t0),
+                               4.0 * t0)
+        block = np.minimum(rem // t0, 3.0)
+        return _map_segment_eval(self._segment, t0, block.astype(int), rem - block * t0,
+                                 np.minimum(shift, 2.0).astype(int))
 
     def pair_distance_samples(self, i: int, j: int) -> np.ndarray:
         d = self.q[i] - self.q[j]
@@ -150,10 +158,9 @@ def build_full_orbit(segment: TrajectorySegment, t_f: float,
     tau = np.arange(n12) * (t0 / n12)
     q = np.empty((3, n_samples, 2))
     p = np.empty((3, n_samples, 2))
-    for block in range(4):
-        sl = slice(block * n12, (block + 1) * n12)
-        q[:, sl], p[:, sl] = _map_segment_eval(segment, t0, block, tau)
     third = 4 * n12
+    q[:, :third], p[:, :third] = _map_segment_eval(
+        segment, t0, np.repeat(np.arange(4), n12), np.tile(tau, 4))
     q[:, third:2 * third] = q[[1, 2, 0], :third]
     p[:, third:2 * third] = p[[1, 2, 0], :third]
     q[:, 2 * third:] = q[[2, 0, 1], :third]
@@ -208,13 +215,7 @@ def verify_choreography(orbit: FullOrbit, tol: float = 1e-6) -> float:
     n = orbit.n_samples
     if n % 3 != 0:
         raise ValueError("sample count must divide the one-third shift")
-    shift = n // 3
-    worst = 0.0
-    for i in range(3):
-        a = orbit.q[(i + 1) % 3]
-        b = np.roll(orbit.q[i], -shift, axis=0)
-        worst = max(worst, float(np.max(np.abs(a - b))))
-    return worst
+    return float(np.max(np.abs(orbit.q[[1, 2, 0]] - np.roll(orbit.q, -(n // 3), axis=1))))
 
 
 @dataclass(frozen=True)
@@ -265,75 +266,69 @@ class CollisionReport:
         }
 
 
-def _refine_crossing(orbit: FullOrbit, i: int, j: int, r0: float,
-                     lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Bisect r_ij(t) - r0 to a bracket below tol in t."""
-    flo = orbit.pair_distance_at(i, j, lo) - r0
+def _pair_distances(orbit: FullOrbit, i: np.ndarray, j: np.ndarray,
+                    t: np.ndarray) -> np.ndarray:
+    """r_ij at the times t, for the pairs (i[k], j[k]) of each time."""
+    q, _ = orbit.eval_many(t)
+    cols = np.arange(t.size)
+    d = q[i, cols] - q[j, cols]
+    return np.hypot(d[:, 0], d[:, 1])
+
+
+def _bisect_crossings(orbit: FullOrbit, i, j, r0: float, lo: np.ndarray,
+                      hi: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Bisect r_ij(t) - r0 on all brackets [lo, hi] at once, each to a width
+    below tol (200 halvings at most); one evaluation per round."""
+    flo = _pair_distances(orbit, i, j, lo) - r0
     for _ in range(200):
-        if hi - lo <= tol:
+        if not (act := np.flatnonzero(hi - lo > tol)).size:
             break
-        mid = 0.5 * (lo + hi)
-        fmid = orbit.pair_distance_at(i, j, mid) - r0
-        if (flo <= 0.0) == (fmid <= 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
+        mid = 0.5 * (lo[act] + hi[act])
+        fmid = _pair_distances(orbit, i[act], j[act], mid) - r0
+        same = (flo[act] <= 0.0) == (fmid <= 0.0)
+        lo[act[same]], flo[act[same]] = mid[same], fmid[same]
+        hi[act[~same]] = mid[~same]
     return 0.5 * (lo + hi)
 
 
-def _pair_intervals(orbit: FullOrbit, i: int, j: int, r0: float):
-    """Collision intervals of one pair over [0, T) with the periodic wrap."""
+def _golden_minima(orbit: FullOrbit, i, j, a: np.ndarray, b: np.ndarray,
+                   tol: float = 1e-10):
+    """Golden-section minima of r_ij on all brackets [a, b] at once; one
+    evaluation per round. Returns (t_min mod T, r_min)."""
+    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    fc, fd = np.split(_pair_distances(orbit, np.tile(i, 2), np.tile(j, 2),
+                                      np.concatenate([c, d])), 2)
+    while (act := np.flatnonzero(b - a > tol)).size:
+        left = fc[act] < fd[act]
+        lt, rt = act[left], act[~left]
+        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
+        c[lt] = b[lt] - _INVPHI * (b[lt] - a[lt])
+        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
+        d[rt] = a[rt] + _INVPHI * (b[rt] - a[rt])
+        f = _pair_distances(orbit, i[act], j[act], np.where(left, c[act], d[act]))
+        fc[lt], fd[rt] = f[left], f[~left]
+    tm = 0.5 * (a + b)
+    # twice: a tiny negative tm mods to T itself, and T to 0
+    return np.mod(np.mod(tm, orbit.T), orbit.T), _pair_distances(orbit, i, j, tm)
+
+
+def _pair_brackets(orbit: FullOrbit, i: int, j: int, r0: float) -> list:
+    """(k, m, k_min) per collision interval of one pair: its first sample in
+    the core, the first sample after it (past n when the interval wraps past
+    T) and its deepest sample (mod n)."""
     r = orbit.pair_distance_samples(i, j)
     below = r <= r0
-    if not below.any():
-        return []
     if below.all():
         raise ValueError(f"pair ({i},{j}) never leaves the repulsive core")
     n = orbit.n_samples
-    dt = orbit.T / n
-
-    # entry at k: sample k-1 above, sample k at/below (cyclic)
-    entries = [k for k in range(n) if below[k] and not below[k - 1]]
-    intervals = []
-    for k in entries:
-        m = k
-        while below[m % n]:
-            m += 1
-        # crossing times bracketed by the samples on each side
-        t_in_lo, t_in_hi = (k - 1) * dt, k * dt
-        t_out_lo, t_out_hi = (m - 1) * dt, m * dt
-        t_start = _refine_crossing(orbit, i, j, r0, t_in_lo, t_in_hi)
-        t_end = _refine_crossing(orbit, i, j, r0, t_out_lo, t_out_hi)
-        # deepest approach inside the interval
+    exits = np.flatnonzero(~below & np.roll(below, 1))
+    brackets = []
+    for k in np.flatnonzero(below & ~np.roll(below, 1)).tolist():
+        m = int(exits[np.searchsorted(exits, k) % exits.size])
+        m += n if m < k else 0
         ks = np.arange(k, m) % n
-        t_min = int(ks[np.argmin(r[ks])]) * dt
-        t_min, r_min_val = _refine_minimum(orbit, i, j, t_min - dt, t_min + dt)
-        intervals.append(CollisionInterval(i=i, j=j, t_start=t_start,
-                                           t_end=t_end, r_min_value=r_min_val,
-                                           t_at_min=t_min % orbit.T))
-    return intervals
-
-
-def _refine_minimum(orbit: FullOrbit, i: int, j: int, lo: float, hi: float,
-                    tol: float = 1e-10):
-    """Golden-section minimum of r_ij on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = orbit.pair_distance_at(i, j, c)
-    fd = orbit.pair_distance_at(i, j, d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = orbit.pair_distance_at(i, j, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = orbit.pair_distance_at(i, j, d)
-    tm = 0.5 * (a + b)
-    return tm % orbit.T, orbit.pair_distance_at(i, j, tm)
+        brackets.append((k, m, int(ks[np.argmin(r[ks])])))
+    return brackets
 
 
 def _wrapped_overlap(a: CollisionInterval, b: CollisionInterval, T: float) -> bool:
@@ -345,16 +340,16 @@ def _wrapped_overlap(a: CollisionInterval, b: CollisionInterval, T: float) -> bo
             return [(s, e)]
         return [(s, T), (0.0, e)]
 
-    for s1, e1 in spans(a):
-        for s2, e2 in spans(b):
-            if s1 <= e2 and s2 <= e1:
-                return True
-    return False
+    return any(s1 <= e2 and s2 <= e1 for s1, e1 in spans(a) for s2, e2 in spans(b))
 
 
 def collision_report(orbit: FullOrbit, spec: PotentialSpec) -> CollisionReport:
     """Count repulsive-core passages: intervals with r_ij <= r_min of u.
-    Crossings and minima are refined on the orbit's dense segment."""
+
+    Samples bracket every entry, exit and deepest approach of all pairs; one
+    bisection (crossings) and one golden section (minima) refine them all on
+    the orbit's dense segment, with one array evaluation per round.
+    """
     if orbit._segment is None:
         raise ValueError("collision_report needs an orbit with a dense segment")
     r0 = spec.r_min
@@ -362,19 +357,22 @@ def collision_report(orbit: FullOrbit, spec: PotentialSpec) -> CollisionReport:
         raise ValueError(f"potential kind {spec.kind!r} has no finite minimum; "
                          "collision counting is undefined")
     n_ij = np.zeros((3, 3), dtype=int)
-    intervals = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            ivs = _pair_intervals(orbit, i, j, r0)
-            n_ij[i, j] = n_ij[j, i] = len(ivs)
-            intervals.extend(ivs)
-    simultaneous = []
-    iv01 = [iv for iv in intervals if (iv.i, iv.j) == (0, 1)]
-    iv02 = [iv for iv in intervals if (iv.i, iv.j) == (0, 2)]
-    for a in iv01:
-        for b in iv02:
-            if _wrapped_overlap(a, b, orbit.T):
-                simultaneous.append((a, b))
+    rows = []
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        found = _pair_brackets(orbit, i, j, r0)
+        n_ij[i, j] = n_ij[j, i] = len(found)
+        rows += [(i, j, *b) for b in found]
+    i, j, k, m, k_min = np.array(rows, dtype=int).reshape(-1, 5).T
+    dt = orbit.T / orbit.n_samples
+    km = np.concatenate([k, m])
+    t_start, t_end = np.split(_bisect_crossings(
+        orbit, np.tile(i, 2), np.tile(j, 2), r0, (km - 1) * dt, km * dt), 2)
+    t_min, r_min = _golden_minima(orbit, i, j, k_min * dt - dt, k_min * dt + dt)
+    intervals = [CollisionInterval(*iv) for iv in zip(
+        *(a.tolist() for a in (i, j, t_start, t_end, r_min, t_min)))]
+    simultaneous = [(a, b) for a in intervals for b in intervals
+                    if (a.i, a.j, b.i, b.j) == (0, 1, 0, 2)
+                    and _wrapped_overlap(a, b, orbit.T)]
     return CollisionReport(n_ij=n_ij, intervals=intervals,
                            simultaneous=simultaneous)
 

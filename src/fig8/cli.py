@@ -16,13 +16,13 @@ from . import __version__
 from .artifacts import (comment_lines, json_text, read_record, stamp,
                         write_json)
 from .config import ConfigError, RunConfig, load_config, parse_potential
-from .dynamics import ShootingParams, isosceles_state
-from .integrate import IntegrationError, IntegratorConfig, integrate_to_collinear
+from .dynamics import ShootingParams
+from .integrate import IntegrationError
 from .shooting import (NewtonDivergence, SolverError, energy_in_published_range,
                        find_seeds, newton_solve, scan_grid,
                        solution_record_from_json, solution_record_json)
-from .analysis import (build_full_orbit, collision_count, collision_report,
-                       orbit_from_record, orbit_summary)
+from .analysis import (collision_count, collision_report, orbit_from_record,
+                       orbit_summary)
 from .continuation import (SPECIAL_KINDS, ContinuationSeries,
                            SpecialPointNotFound, continue_family, locate_special)
 
@@ -56,12 +56,19 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _load_record(path):
-    """The solution record of a record JSON or an orbit CSV; ConfigError if none."""
+def _load_record(args):
+    """The solution record of args.record (a record JSON or an orbit CSV) and
+    the run config with the record's potential. A file without a record, or
+    a --potential or --config naming another potential, is a ConfigError."""
     try:
-        return solution_record_from_json(read_record(path))
+        record = solution_record_from_json(read_record(args.record))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path} is not a solution record: {exc!r}") from exc
+        raise ConfigError(f"{args.record} is not a solution record: {exc!r}") from exc
+    cfg = _resolve_config(args)
+    if (args.potential or args.config) and cfg.potential != record.potential:
+        raise ConfigError(f"the record was solved under {record.potential.to_json_dict()}"
+                          f", not {cfg.potential.to_json_dict()}")
+    return record, cfg.override(potential=record.potential)
 
 
 def cmd_scan(args) -> int:
@@ -120,8 +127,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_continue(args) -> int:
-    cfg = _resolve_config(args)
-    record = _load_record(args.record)
+    record, cfg = _load_record(args)
     label = args.label or record.series_label or "series"
     if args.steps == 0:
         series = ContinuationSeries(label=label, points=[record.with_label(label)])
@@ -167,20 +173,14 @@ def cmd_continue(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    cfg = _resolve_config(args)
-    path = Path(args.record)
-    record = _load_record(path)
-    cfg = cfg.override(potential=record.potential)
-    state0 = isosceles_state(record.params)
-    t_f, _, segment = integrate_to_collinear(state0, record.potential, cfg.integrator)
-    orbit = build_full_orbit(segment, t_f, n_samples=cfg.orbit_samples,
-                             source=record)
+    record, cfg = _load_record(args)
+    orbit = orbit_from_record(record, cfg.integrator, n_samples=cfg.orbit_samples)
     summary = orbit_summary(orbit, record.potential)
     summary["params"] = {"x0": record.params.x0, "y0": record.params.y0,
                          "v": record.params.v}
     summary["residual_norm"] = record.residual_norm
     out = _out_dir(cfg)
-    opath = out / f"analysis_{path.stem}.json"
+    opath = out / f"analysis_{Path(args.record).stem}.json"
     write_json(opath, stamp(cfg) | summary)
     print(json_text(summary))
     print(f"wrote {opath}")
@@ -188,13 +188,13 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    from .reproduce import LJ, run_criteria
+    from .reproduce import run_criteria
 
     cfg = _resolve_config(args)
-    if args.potential or (cfg.potential, cfg.integrator) != (LJ, IntegratorConfig()):
+    if args.potential or cfg != RunConfig(jobs=cfg.jobs, out_dir=cfg.out_dir):
         raise ConfigError("reproduce checks the published LJ(12,6) results at the "
-                          "default integrator settings; it takes no --potential "
-                          "and no potential or integrator from --config")
+                          "default settings; it takes no --potential and no "
+                          "--config field but jobs and out_dir")
     results = run_criteria(quick=args.quick, jobs=cfg.jobs)
     write_json(_out_dir(cfg) / "reproduce_report.json", stamp(cfg) | {
         "quick": args.quick,

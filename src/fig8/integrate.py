@@ -25,7 +25,6 @@ no mutable state and may run concurrently.
 import copyreg
 import math
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,34 +166,34 @@ class TrajectorySegment:
         self.ts = ts
         self.interpolants = interpolants
         self.t_end = t_end
+        self._stacked = None
 
     @property
     def times(self) -> list[float]:
         return list(self.ts)
 
-    def _interp_at(self, t: float):
-        # ts[k] <= t < ts[k+1] selects interpolants[k]; clamp at the ends
-        k = bisect_right(self.ts, t) - 1
-        return self.interpolants[min(max(k, 0), len(self.interpolants) - 1)]
-
     def eval(self, t: float) -> np.ndarray:
         """Flat 12-vector (positions, velocities) at time t in [0, t_end]."""
-        return np.asarray(self._interp_at(t)(t), dtype=float)
+        return self.eval_many([t])[:, 0]
 
     def eval_many(self, t) -> np.ndarray:
         """Vectorized eval; returns shape (12, len(t)).
 
-        Times are grouped by interpolant, one array evaluation per group.
-        Each column equals `eval` at its time bit for bit.
+        One Horner pass over all times; step k (ts[k] <= t < ts[k+1], clamped
+        at the ends) is gathered from arrays stacked once per segment. Each
+        column equals that step's interpolant at its time bit for bit.
         """
+        if self._stacked is None:
+            ps = self.interpolants
+            self._stacked = (np.asarray(self.ts), np.array([p.t_old for p in ps]),
+                             np.array([p.h for p in ps]), np.array([p.y_old for p in ps]),
+                             np.stack([p.F for p in ps], axis=1))
+        ts, t_old, h, y_old, F = self._stacked
         t = np.asarray(t, dtype=float).ravel()
-        k = np.searchsorted(self.ts, t, side="right") - 1
+        k = np.searchsorted(ts, t, side="right") - 1
         np.clip(k, 0, len(self.interpolants) - 1, out=k)
-        out = np.empty((12, t.size))
-        for j in np.unique(k):
-            sel = np.flatnonzero(k == j)
-            out[:, sel] = self.interpolants[j](t[sel])
-        return out
+        x = (t - t_old[k]) / h[k]
+        return _dense_sum(F[:, k], y_old[k], x[:, None], np.zeros((t.size, 12))).T
 
     def state(self, t: float) -> ThreeBodyState:
         return ThreeBodyState.from_array(t, self.eval(t))

@@ -1,6 +1,7 @@
 """Orbit reconstruction, choreography checks, collisions, curvature, extrema."""
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from fig8.dynamics import (PotentialSpec, ShootingParams, ThreeBodyState, Vec2,
                            pair_potential, total_energy)
 from fig8.integrate import IntegratorConfig, integrate_to_collinear
 from fig8.shooting import newton_solve, record_from_params
-from fig8.analysis import (FullOrbit, build_full_orbit, collision_count,
-                           collision_report, configuration_energy_extrema,
-                           curvature_profile, integrate_full_orbit,
-                           orbit_from_record, orbit_summary, verify_choreography)
+from fig8.analysis import (_BLOCK_MAPS, CollisionInterval, CollisionReport,
+                           FullOrbit, _wrapped_overlap, build_full_orbit,
+                           collision_count, collision_report,
+                           configuration_energy_extrema, curvature_profile,
+                           integrate_full_orbit, orbit_from_record,
+                           orbit_summary, verify_choreography)
 
 LJ = PotentialSpec.lj()
 H6 = PotentialSpec.homogeneous(6)
@@ -40,6 +43,123 @@ def beta_record():
 @pytest.fixture(scope="module")
 def beta_orbit(beta_record):
     return orbit_from_record(beta_record, CFG)
+
+
+@pytest.fixture(scope="module")
+def alpha_lower_orbit():
+    return orbit_from_record(
+        record_from_params(ShootingParams(0.75, 0.553223, 0.615805), LJ, CFG), CFG)
+
+
+@pytest.fixture(scope="module")
+def epsilon_orbit():
+    return orbit_from_record(
+        record_from_params(ShootingParams(0.91, 0.803912, 0.0857343), LJ, CFG), CFG)
+
+
+# -- scalar reference: one time, one block map, one step interpolant ---------
+
+def scalar_orbit_eval(orbit, t):
+    t0 = orbit._t0
+    shift, rem = divmod(t % (12.0 * t0), 4.0 * t0)
+    block = int(min(rem // t0, 3))
+    tau = rem - block * t0
+    reverse, src, qs, ps = _BLOCK_MAPS[block]
+    s = min(max(t0 - tau if reverse else tau, 0.0), t0)
+    seg = orbit._segment
+    k = min(max(bisect_right(seg.ts, s) - 1, 0), len(seg.interpolants) - 1)
+    y = seg.interpolants[k](s)
+    body = [(i + int(min(shift, 2))) % 3 for i in range(3)]
+    return (y[:6].reshape(3, 2)[src] * qs)[body], (y[6:].reshape(3, 2)[src] * ps)[body]
+
+
+def scalar_pair_distance(orbit, i, j, t):
+    q, _ = scalar_orbit_eval(orbit, t)
+    return float(np.hypot(*(q[i] - q[j])))
+
+
+def refine_crossing(orbit, i, j, r0, lo, hi, tol=1e-10):
+    """Bisect r_ij(t) - r0 to a bracket below tol in t."""
+    flo = scalar_pair_distance(orbit, i, j, lo) - r0
+    for _ in range(200):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        fmid = scalar_pair_distance(orbit, i, j, mid) - r0
+        if (flo <= 0.0) == (fmid <= 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def refine_minimum(orbit, i, j, lo, hi, tol=1e-10):
+    """Golden-section minimum of r_ij on [lo, hi]."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc = scalar_pair_distance(orbit, i, j, c)
+    fd = scalar_pair_distance(orbit, i, j, d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = scalar_pair_distance(orbit, i, j, c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = scalar_pair_distance(orbit, i, j, d)
+    tm = 0.5 * (a + b)
+    return tm % orbit.T, scalar_pair_distance(orbit, i, j, tm)
+
+
+def reference_pair_intervals(orbit, i, j, r0):
+    """Collision intervals of one pair, one interval and one time at a time."""
+    r = orbit.pair_distance_samples(i, j)
+    below = r <= r0
+    n = orbit.n_samples
+    dt = orbit.T / n
+    intervals = []
+    for k in [k for k in range(n) if below[k] and not below[k - 1]]:
+        m = k
+        while below[m % n]:
+            m += 1
+        t_start = refine_crossing(orbit, i, j, r0, (k - 1) * dt, k * dt)
+        t_end = refine_crossing(orbit, i, j, r0, (m - 1) * dt, m * dt)
+        ks = np.arange(k, m) % n
+        t_min = int(ks[np.argmin(r[ks])]) * dt
+        t_min, r_min = refine_minimum(orbit, i, j, t_min - dt, t_min + dt)
+        intervals.append(CollisionInterval(i, j, t_start, t_end, r_min, t_min % orbit.T))
+    return intervals
+
+
+def reference_collision_report(orbit, spec):
+    n_ij = np.zeros((3, 3), dtype=int)
+    intervals = []
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        ivs = reference_pair_intervals(orbit, i, j, spec.r_min)
+        n_ij[i, j] = n_ij[j, i] = len(ivs)
+        intervals += ivs
+    simultaneous = [(a, b) for a in intervals if (a.i, a.j) == (0, 1)
+                    for b in intervals if (b.i, b.j) == (0, 2)
+                    and _wrapped_overlap(a, b, orbit.T)]
+    return CollisionReport(n_ij=n_ij, intervals=intervals, simultaneous=simultaneous)
+
+
+class TestFullOrbitEval:
+    def test_array_evaluator_equals_eval_bit_for_bit(self, beta_orbit):
+        T, t0 = beta_orbit.T, beta_orbit._t0
+        rng = np.random.default_rng(13)
+        ts = np.concatenate([rng.uniform(0.0, 1.5 * T, 200),
+                             np.arange(19) * t0, [T]])
+        q, p = beta_orbit.eval_many(ts)
+        assert q.shape == p.shape == (3, ts.size, 2)
+        for k, t in enumerate(ts.tolist()):
+            qs, ps = beta_orbit.eval(t)
+            qr, pr = scalar_orbit_eval(beta_orbit, t)
+            assert q[:, k].tolist() == qs.tolist() == qr.tolist()
+            assert p[:, k].tolist() == ps.tolist() == pr.tolist()
 
 
 class TestBuildFullOrbit:
@@ -164,6 +284,25 @@ class TestCollisions:
             # endpoints sit on the threshold
             assert beta_orbit.pair_distance_at(iv.i, iv.j, iv.t_start) == \
                 pytest.approx(R_MIN, abs=1e-6)
+
+    @pytest.mark.parametrize("name, n_intervals", [
+        ("beta_orbit", 12), ("epsilon_orbit", 36), ("alpha_lower_orbit", 6)])
+    def test_lockstep_matches_scalar_refiners(self, request, name, n_intervals):
+        orbit = request.getfixturevalue(name)
+        rep = collision_report(orbit, LJ).to_json_dict()
+        assert len(rep["intervals"]) == n_intervals
+        assert rep == reference_collision_report(orbit, LJ).to_json_dict()
+
+    def test_interval_wrapping_past_zero(self, alpha_lower_orbit):
+        # on the lower alpha family, bodies 0 and 2 are deepest in the core
+        # at t = 0: that interval enters before T, exits past it, and its
+        # minimum is reported mod T
+        T = alpha_lower_orbit.T
+        rep = collision_report(alpha_lower_orbit, LJ)
+        wrapped = [iv for iv in rep.intervals if iv.t_end > T]
+        assert [(iv.i, iv.j) for iv in wrapped] == [(0, 2)]
+        assert 0.0 < wrapped[0].t_start < T
+        assert min(wrapped[0].t_at_min, T - wrapped[0].t_at_min) < 1e-6
 
     def test_unsupported_potential_rejected(self, alpha_orbit):
         with pytest.raises(ValueError):

@@ -3,17 +3,21 @@
 `perfbench/tracing.py` wraps functions by (module, attribute). A hook
 whose target is gone is skipped without an error and the metrics that
 need it silently drop out of a traced run, so renaming or unbinding one
-of these names breaks the benchmark's per-layer report. This test names
-the breakage instead.
+of these names breaks the benchmark's per-layer report. These tests name
+the breakage instead, and one traced run checks the report end to end.
 """
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _load_tracing():
@@ -31,3 +35,22 @@ _tracing = _load_tracing()
 def test_hook_target_is_bound(target):
     mod_name, attr = target
     assert callable(getattr(importlib.import_module(mod_name), attr, None))
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_traced_solve_run_ends_in_a_strict_json_result():
+    # a traced run can exit 0 and still end in something other than a result
+    run = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "solve", "--seed", "302",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr[-2000:]
+    result = json.loads(run.stdout.splitlines()[-1], parse_constant=_reject_constant)
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    assert metrics["integrate.calls"] == 136
+    assert metrics["analysis.collision_intervals"] == 258

@@ -170,7 +170,52 @@ def alpha_record_file(tmp_path_factory):
     return next(out.glob("solution_*.json"))
 
 
+@pytest.fixture(scope="module")
+def homogeneous_record_file(tmp_path_factory):
+    out = tmp_path_factory.mktemp("rec_h6")
+    assert run_cli("solve", "--x0", 1.0, "--y0", 0.98, "--v", 0.23,
+                   "--potential", "homogeneous:6", "-o", out) == 0
+    return next(out.glob("solution_*.json"))
+
+
+def _stamped_potential(csv_path):
+    line = next(l for l in csv_path.read_text().splitlines()
+                if l.startswith("# config:"))
+    return json.loads(line.partition(":")[2])["potential"]
+
+
 class TestContinueAndAnalyze:
+    def test_continue_stamps_the_record_potential(self, homogeneous_record_file,
+                                                  tmp_path):
+        assert run_cli("continue", homogeneous_record_file, "--steps", 0,
+                       "-o", tmp_path) == 0
+        assert _stamped_potential(next(tmp_path.glob("series_*.csv"))) == \
+            {"kind": "homogeneous", "a": 6.0}
+
+    @pytest.mark.parametrize("args", [("continue", "--steps", 0), ("analyze",)],
+                             ids=["continue", "analyze"])
+    def test_potential_flag_off_the_record_exits_5(self, args, alpha_record_file,
+                                                   tmp_path):
+        assert run_cli(args[0], alpha_record_file, *args[1:], "--potential",
+                       "homogeneous:6", "-o", tmp_path / "out") == 5
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args", [("continue", "--steps", 0), ("analyze",)],
+                             ids=["continue", "analyze"])
+    def test_config_potential_off_the_record_exits_5(self, args,
+                                                     homogeneous_record_file,
+                                                     tmp_path):
+        path = tmp_path / "cfg.json"
+        RunConfig().save(path)  # LJ(12,6), the default
+        assert run_cli(args[0], homogeneous_record_file, *args[1:], "--config", path,
+                       "-o", tmp_path / "out") == 5
+        assert not (tmp_path / "out").exists()
+
+    def test_potential_flag_naming_the_record_potential_accepted(
+            self, homogeneous_record_file, tmp_path):
+        assert run_cli("continue", homogeneous_record_file, "--steps", 0,
+                       "--potential", "homogeneous:6", "-o", tmp_path) == 0
+
     def test_continue_zero_steps_echoes(self, alpha_record_file, tmp_path):
         code = run_cli("continue", alpha_record_file, "--steps", 0,
                        "-o", tmp_path)
@@ -285,4 +330,15 @@ class TestReproduceCommand:
         cfg.save(path)
         assert run_cli("reproduce", "--quick", "--config", path,
                        "-o", tmp_path) == 5
+        assert not (tmp_path / "reproduce_report.json").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("newton_tol", 1e-3), ("orbit_samples", 120), ("scan_n_y0", 10),
+        ("scan_v_range", (0.1, 0.2)), ("continuation_steps", 5)])
+    def test_config_field_the_criteria_ignore_rejected(self, field, value, tmp_path):
+        # only jobs and out_dir reach the criteria; any other field would be
+        # stamped into the report without having been used
+        path = tmp_path / "cfg.json"
+        RunConfig(**{field: value}, jobs=2, out_dir=str(tmp_path)).save(path)
+        assert run_cli("reproduce", "--quick", "--config", path) == 5
         assert not (tmp_path / "reproduce_report.json").exists()

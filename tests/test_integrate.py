@@ -2,6 +2,7 @@
 
 import math
 import pickle
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -143,6 +144,17 @@ class TestSegment:
         assert many.shape == (12, ts.size)
         for k, t in enumerate(ts):
             assert many[:, k].tolist() == seg.eval(t).tolist()
+
+    def test_eval_many_equals_step_interpolants_bit_for_bit(self):
+        # the scalar call of each step's own interpolant is the reference;
+        # times past either end use the first or last step
+        seg = integrate(isosceles_state(ALPHA), LJ, 3.0, CFG)
+        rng = np.random.default_rng(3)
+        ts = np.concatenate([seg.ts, rng.uniform(-0.1, seg.t_end + 0.1, 300)])
+        many = seg.eval_many(ts)
+        for col, t in zip(many.T, ts.tolist()):
+            k = min(max(bisect_right(seg.ts, t) - 1, 0), len(seg.interpolants) - 1)
+            assert col.tolist() == seg.interpolants[k](t).tolist()
 
 
 # every potential family; the first two use the closed forms of the force table
