@@ -10,10 +10,10 @@ collision structure, curvature).
 
 __version__ = "0.1.0"
 
-from .dynamics import (PotentialSpec, ShootingParams, ThreeBodyState, Vec2,
-                       accelerations, angular_momentum, center_of_mass,
-                       isosceles_state, linear_momentum, pair_force,
-                       pair_potential, total_energy)
+from .dynamics import (PotentialSpec, ShootingParams, accelerations,
+                       angular_momentum, center_of_mass, isosceles_state,
+                       linear_momentum, pair_force, pair_potential,
+                       total_energy)
 # The function `integrate` is not re-exported: the name `fig8.integrate`
 # stays the submodule, so `import fig8.integrate as m` binds the module.
 from .integrate import (EventNotFound, IntegrationError, IntegratorConfig,
@@ -25,7 +25,7 @@ from .shooting import (ContourGrid, NewtonDivergence, ResidualSample,
 
 __all__ = [
     "__version__",
-    "Vec2", "PotentialSpec", "ThreeBodyState", "ShootingParams",
+    "PotentialSpec", "ShootingParams",
     "pair_potential", "pair_force", "accelerations", "total_energy",
     "angular_momentum", "linear_momentum", "center_of_mass", "isosceles_state",
     "IntegratorConfig", "TrajectorySegment", "IntegrationError",

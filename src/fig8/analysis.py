@@ -13,9 +13,9 @@ block a map fixes the source time, and its body permutation and sign
 flips are exact, so one array evaluation of the dense segment gives all
 three bodies bit for bit; `FullOrbit.eval_many` does so at any times.
 Collision counting refines all of an orbit's interval brackets together
-on it, one array evaluation per round. Curvature evaluates the
-integrator's right-hand side, the package's one force law, on all
-samples at once.
+on it, one array evaluation per round. Curvature evaluates
+`accelerations`, the rows of the integrator's right-hand side, the
+package's one force law, on all samples at once.
 """
 
 import math
@@ -23,12 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# accelerations stays bound for the hooks of perfbench/tracing.py
-from .dynamics import (PotentialSpec, ThreeBodyState, accelerations,  # noqa: F401
-                       isosceles_state, total_energy)
+from .dynamics import PotentialSpec, accelerations, isosceles_state, total_energy
 from .artifacts import write_csv
 from .integrate import (STATE_CSV_COLUMNS, IntegratorConfig, TrajectorySegment,
-                        integrate, integrate_to_collinear, make_rhs)
+                        integrate, integrate_to_collinear)
 from .shooting import SolutionRecord
 
 __all__ = [
@@ -59,13 +57,17 @@ _BLOCK_MAPS = (
     (True, [1, 0, 2], (1.0, -1.0), (-1.0, 1.0)),
 )
 _REVERSE, _SOURCE, _Q_SIGNS, _P_SIGNS = (np.array(col) for col in zip(*_BLOCK_MAPS))
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _bodies(y: np.ndarray):
     """(q, p), each of shape (3, n, 2), from flat states y of shape (12, n)."""
     return (y[:6].reshape(3, 2, -1).transpose(0, 2, 1),
             y[6:].reshape(3, 2, -1).transpose(0, 2, 1))
+
+
+def _flat(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Flat states of shape (12, n) from (q, p), each of shape (3, n, 2)."""
+    return np.concatenate([q, p]).transpose(0, 2, 1).reshape(12, -1)
 
 
 def _map_segment_eval(seg: TrajectorySegment, t0: float, block: np.ndarray,
@@ -104,10 +106,6 @@ class FullOrbit:
     @property
     def n_samples(self) -> int:
         return self.t.size
-
-    def state_at(self, t: float) -> ThreeBodyState:
-        q, p = self.eval(t)
-        return ThreeBodyState.from_array(t, np.concatenate([q.ravel(), p.ravel()]))
 
     def eval(self, t: float):
         """(q, p) with shape (3, 2) at arbitrary t, using the symmetry maps."""
@@ -178,7 +176,7 @@ def orbit_from_record(record: SolutionRecord, cfg: IntegratorConfig,
     return build_full_orbit(segment, t_f, n_samples=n_samples, source=record)
 
 
-def integrate_full_orbit(state0: ThreeBodyState, spec: PotentialSpec,
+def integrate_full_orbit(state0, spec: PotentialSpec,
                          cfg: IntegratorConfig, T: float,
                          n_samples: int = 2400) -> FullOrbit:
     """Directly integrate a full period; the symmetry-free reference orbit.
@@ -188,16 +186,16 @@ def integrate_full_orbit(state0: ThreeBodyState, spec: PotentialSpec,
     single forward arc amplifies the initial-condition error by many
     orders of magnitude before closing. The two arcs keep the whole
     comparison at integration accuracy while still using nothing but the
-    equations of motion and the initial state.
+    equations of motion and the initial flat state.
     """
     if n_samples % 12 != 0:
         raise ValueError("n_samples must be divisible by 12")
     t = np.arange(n_samples) * (T / n_samples)
     half = 0.5 * T * (1.0 + 1e-9)
     seg_fwd = integrate(state0, spec, half, cfg)
-    y_rev = state0.to_array()
+    y_rev = np.array(state0, dtype=float)
     y_rev[6:] = -y_rev[6:]
-    seg_bwd = integrate(ThreeBodyState.from_array(0.0, y_rev), spec, half, cfg)
+    seg_bwd = integrate(y_rev, spec, half, cfg)
     fwd = t <= 0.5 * T
     y = np.empty((12, n_samples))
     y[:, fwd] = seg_fwd.eval_many(t[fwd])
@@ -266,50 +264,41 @@ class CollisionReport:
         }
 
 
-def _pair_distances(orbit: FullOrbit, i: np.ndarray, j: np.ndarray,
-                    t: np.ndarray) -> np.ndarray:
-    """r_ij at the times t, for the pairs (i[k], j[k]) of each time."""
-    q, _ = orbit.eval_many(t)
+def _pair_separations(orbit: FullOrbit, i: np.ndarray, j: np.ndarray,
+                      t: np.ndarray):
+    """(q_i - q_j, p_i - p_j), each (len(t), 2), at the times t, for the
+    pairs (i[k], j[k]) of each time."""
+    q, p = orbit.eval_many(t)
     cols = np.arange(t.size)
-    d = q[i, cols] - q[j, cols]
+    return q[i, cols] - q[j, cols], p[i, cols] - p[j, cols]
+
+
+def _pair_distances(orbit: FullOrbit, i, j, t) -> np.ndarray:
+    """r_ij at the times t, for the pairs (i[k], j[k]) of each time."""
+    d, _ = _pair_separations(orbit, i, j, t)
     return np.hypot(d[:, 0], d[:, 1])
 
 
-def _bisect_crossings(orbit: FullOrbit, i, j, r0: float, lo: np.ndarray,
-                      hi: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Bisect r_ij(t) - r0 on all brackets [lo, hi] at once, each to a width
-    below tol (200 halvings at most); one evaluation per round."""
-    flo = _pair_distances(orbit, i, j, lo) - r0
+def _pair_approach(orbit: FullOrbit, i, j, t) -> np.ndarray:
+    """(q_i - q_j).(p_i - p_j), half of d(r_ij^2)/dt, at the times t."""
+    d, v = _pair_separations(orbit, i, j, t)
+    return d[:, 0] * v[:, 0] + d[:, 1] * v[:, 1]
+
+
+def _bisect(f, i, j, lo: np.ndarray, hi: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Bisect the sign change of f(i, j, t) on all brackets [lo, hi] at once,
+    each to a width below tol (200 halvings at most); one evaluation per
+    round. f takes the pairs and times of the brackets still open."""
+    flo = f(i, j, lo)
     for _ in range(200):
         if not (act := np.flatnonzero(hi - lo > tol)).size:
             break
         mid = 0.5 * (lo[act] + hi[act])
-        fmid = _pair_distances(orbit, i[act], j[act], mid) - r0
+        fmid = f(i[act], j[act], mid)
         same = (flo[act] <= 0.0) == (fmid <= 0.0)
         lo[act[same]], flo[act[same]] = mid[same], fmid[same]
         hi[act[~same]] = mid[~same]
     return 0.5 * (lo + hi)
-
-
-def _golden_minima(orbit: FullOrbit, i, j, a: np.ndarray, b: np.ndarray,
-                   tol: float = 1e-10):
-    """Golden-section minima of r_ij on all brackets [a, b] at once; one
-    evaluation per round. Returns (t_min mod T, r_min)."""
-    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-    fc, fd = np.split(_pair_distances(orbit, np.tile(i, 2), np.tile(j, 2),
-                                      np.concatenate([c, d])), 2)
-    while (act := np.flatnonzero(b - a > tol)).size:
-        left = fc[act] < fd[act]
-        lt, rt = act[left], act[~left]
-        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
-        c[lt] = b[lt] - _INVPHI * (b[lt] - a[lt])
-        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
-        d[rt] = a[rt] + _INVPHI * (b[rt] - a[rt])
-        f = _pair_distances(orbit, i[act], j[act], np.where(left, c[act], d[act]))
-        fc[lt], fd[rt] = f[left], f[~left]
-    tm = 0.5 * (a + b)
-    # twice: a tiny negative tm mods to T itself, and T to 0
-    return np.mod(np.mod(tm, orbit.T), orbit.T), _pair_distances(orbit, i, j, tm)
 
 
 def _pair_brackets(orbit: FullOrbit, i: int, j: int, r0: float) -> list:
@@ -347,8 +336,9 @@ def collision_report(orbit: FullOrbit, spec: PotentialSpec) -> CollisionReport:
     """Count repulsive-core passages: intervals with r_ij <= r_min of u.
 
     Samples bracket every entry, exit and deepest approach of all pairs; one
-    bisection (crossings) and one golden section (minima) refine them all on
-    the orbit's dense segment, with one array evaluation per round.
+    bisection of r_ij - r_min (crossings) and one of d(r_ij^2)/dt (minima)
+    refine them all on the orbit's dense segment, with one array
+    evaluation per round.
     """
     if orbit._segment is None:
         raise ValueError("collision_report needs an orbit with a dense segment")
@@ -365,9 +355,14 @@ def collision_report(orbit: FullOrbit, spec: PotentialSpec) -> CollisionReport:
     i, j, k, m, k_min = np.array(rows, dtype=int).reshape(-1, 5).T
     dt = orbit.T / orbit.n_samples
     km = np.concatenate([k, m])
-    t_start, t_end = np.split(_bisect_crossings(
-        orbit, np.tile(i, 2), np.tile(j, 2), r0, (km - 1) * dt, km * dt), 2)
-    t_min, r_min = _golden_minima(orbit, i, j, k_min * dt - dt, k_min * dt + dt)
+    t_start, t_end = np.split(_bisect(
+        lambda i, j, t: _pair_distances(orbit, i, j, t) - r0,
+        np.tile(i, 2), np.tile(j, 2), (km - 1) * dt, km * dt), 2)
+    tm = _bisect(lambda i, j, t: _pair_approach(orbit, i, j, t),
+                 i, j, k_min * dt - dt, k_min * dt + dt)
+    r_min = _pair_distances(orbit, i, j, tm)
+    # twice: a tiny negative tm mods to T itself, and T to 0
+    t_min = np.mod(np.mod(tm, orbit.T), orbit.T)
     intervals = [CollisionInterval(*iv) for iv in zip(
         *(a.tolist() for a in (i, j, t_start, t_end, r_min, t_min)))]
     simultaneous = [(a, b) for a in intervals for b in intervals
@@ -395,9 +390,9 @@ def curvature_profile(orbit: FullOrbit, spec: PotentialSpec | None = None):
         if orbit.source is None:
             raise ValueError("need a potential to evaluate accelerations")
         spec = orbit.source.potential
-    y = np.concatenate([orbit.q, orbit.p]).transpose(0, 2, 1).reshape(12, -1)
-    f = make_rhs(spec)(orbit.t, y)
-    vx, vy, ax, ay = f[0], f[1], f[6], f[7]
+    y = _flat(orbit.q, orbit.p)
+    a = accelerations(y, spec)
+    vx, vy, ax, ay = y[6], y[7], a[0], a[1]
     speed = np.hypot(vx, vy)
     with np.errstate(divide="ignore", invalid="ignore"):
         kappa = np.abs(vx * ay - vy * ax) / speed ** 3
@@ -438,10 +433,8 @@ def configuration_energy_extrema(spec: PotentialSpec) -> ConfigurationExtrema:
 
 def orbit_summary(orbit: FullOrbit, spec: PotentialSpec) -> dict:
     """Compact JSON-ready diagnostics for one orbit."""
-    energies = np.array([
-        total_energy(orbit.state_at(float(t)), spec)
-        for t in orbit.t[:: max(1, orbit.n_samples // 48)]
-    ])
+    y = _flat(*orbit.eval_many(orbit.t[:: max(1, orbit.n_samples // 48)]))
+    energies = np.array([total_energy(col, spec) for col in y.T.tolist()])
     summary = {
         "T": orbit.T,
         "E": float(energies.mean()),

@@ -1,9 +1,11 @@
 """Planar three-body geometry, pair potentials, forces, and conserved quantities.
 
 Units are nondimensional throughout: unit masses, unit potential
-coefficients, so momentum equals velocity. All types are immutable
-values and every function is pure, so everything here is safe to call
-concurrently.
+coefficients, so momentum equals velocity. A state is the flat 12-vector
+y = (x0, y0, x1, y1, x2, y2, vx0, vy0, vx1, vy1, vx2, vy2) of positions
+and velocities, the vector the integrator steps; where a function takes
+several states, they are the columns of a (12, n) array. Every function
+is pure, so everything here is safe to call concurrently.
 """
 
 import math
@@ -12,12 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Vec2",
     "PotentialSpec",
-    "ThreeBodyState",
     "ShootingParams",
     "pair_potential",
     "pair_force",
+    "make_rhs",
     "accelerations",
     "total_energy",
     "potential_energy",
@@ -27,42 +28,6 @@ __all__ = [
     "center_of_mass",
     "isosceles_state",
 ]
-
-
-@dataclass(frozen=True)
-class Vec2:
-    """Planar vector. Components must be finite."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite Vec2 components ({self.x}, {self.y})")
-
-    def __add__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x - other.x, self.y - other.y)
-
-    def __mul__(self, s: float) -> "Vec2":
-        return Vec2(self.x * s, self.y * s)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Vec2":
-        return Vec2(-self.x, -self.y)
-
-    def dot(self, other: "Vec2") -> float:
-        return self.x * other.x + self.y * other.y
-
-    def cross(self, other: "Vec2") -> float:
-        """Scalar (z-component of the) 2-D cross product."""
-        return self.x * other.y - self.y * other.x
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
 
 
 _KINDS = ("lj", "homogeneous", "morse", "buckingham", "screened_coulomb")
@@ -210,40 +175,6 @@ class PotentialSpec:
 
 
 @dataclass(frozen=True)
-class ThreeBodyState:
-    """Instantaneous state: time, positions q[i], velocities p[i] (unit masses)."""
-
-    t: float
-    q: tuple[Vec2, Vec2, Vec2]
-    p: tuple[Vec2, Vec2, Vec2]
-
-    def __post_init__(self):
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if (self.q[i] - self.q[j]).norm() == 0.0:
-                    raise ValueError(f"bodies {i} and {j} coincide")
-
-    def to_array(self):
-        q, p = self.q, self.p
-        return np.array(
-            [q[0].x, q[0].y, q[1].x, q[1].y, q[2].x, q[2].y,
-             p[0].x, p[0].y, p[1].x, p[1].y, p[2].x, p[2].y]
-        )
-
-    @classmethod
-    def from_array(cls, t: float, y) -> "ThreeBodyState":
-        return cls(
-            t=float(t),
-            q=(Vec2(float(y[0]), float(y[1])),
-               Vec2(float(y[2]), float(y[3])),
-               Vec2(float(y[4]), float(y[5]))),
-            p=(Vec2(float(y[6]), float(y[7])),
-               Vec2(float(y[8]), float(y[9])),
-               Vec2(float(y[10]), float(y[11]))),
-        )
-
-
-@dataclass(frozen=True)
 class ShootingParams:
     """The (x0, y0, v) triple fixing the isosceles launch configuration."""
 
@@ -273,11 +204,11 @@ def pair_potential(r: float, spec: PotentialSpec) -> float:
 def _pair_g(spec: PotentialSpec):
     """Force factor g(r^2) with force-on-i = g * (q_i - q_j), g = -u'(r)/r.
 
-    The one force law of the package: `pair_force`, `accelerations` and
-    the integrator's right-hand side all evaluate it. Every form takes a
-    float or a numpy array of squared distances. Specialized closed forms
-    for the quantitative families keep the hot loop in plain float
-    arithmetic.
+    The one force law of the package: `pair_force` and `make_rhs` (the
+    right-hand side behind the integrator and `accelerations`) evaluate
+    it. Every form takes a float or a numpy array of squared distances.
+    Specialized closed forms for the quantitative families keep the hot
+    loop in plain float arithmetic.
     """
     if spec.kind == "lj" and spec.b == 12.0 and spec.a == 6.0:
 
@@ -303,53 +234,91 @@ def _pair_g(spec: PotentialSpec):
     return g
 
 
-def pair_force(r_vec: Vec2, spec: PotentialSpec) -> Vec2:
-    """Force on a body displaced by r_vec from its partner: -u'(|r_vec|) r_vec/|r_vec|."""
-    r2 = r_vec.dot(r_vec)
+def pair_force(d, spec: PotentialSpec) -> np.ndarray:
+    """Force on a body displaced by d = q_i - q_j (length 2) from its partner:
+    -u'(|d|) d/|d|."""
+    dx, dy = (float(c) for c in d)
+    r2 = dx * dx + dy * dy
     if r2 == 0.0:
         raise ValueError("zero displacement has no defined pair force")
-    return r_vec * float(_pair_g(spec)(r2))
+    g = float(_pair_g(spec)(r2))
+    return np.array([dx * g, dy * g])
 
 
-def accelerations(state: ThreeBodyState, spec: PotentialSpec) -> tuple[Vec2, Vec2, Vec2]:
-    """Per-body accelerations from the pairwise forces. Sums to zero exactly up to rounding."""
-    q = state.q
-    f01 = pair_force(q[0] - q[1], spec)
-    f02 = pair_force(q[0] - q[2], spec)
-    f12 = pair_force(q[1] - q[2], spec)
-    return (f01 + f02, -f01 + f12, -f02 - f12)
+def make_rhs(spec: PotentialSpec):
+    """Right-hand side of the first-order system y' = f(y), y a flat state.
+
+    The components of y may be floats or equal-length numpy arrays, one
+    state per array column.
+    """
+    g = _pair_g(spec)
+
+    def rhs(t, y):
+        x0 = y[0]; y0 = y[1]; x1 = y[2]; y1 = y[3]; x2 = y[4]; y2 = y[5]
+        dx = x0 - x1; dy = y0 - y1
+        g01 = g(dx * dx + dy * dy)
+        f01x = g01 * dx; f01y = g01 * dy
+        dx = x0 - x2; dy = y0 - y2
+        g02 = g(dx * dx + dy * dy)
+        f02x = g02 * dx; f02y = g02 * dy
+        dx = x1 - x2; dy = y1 - y2
+        g12 = g(dx * dx + dy * dy)
+        f12x = g12 * dx; f12y = g12 * dy
+        return [y[6], y[7], y[8], y[9], y[10], y[11],
+                f01x + f02x, f01y + f02y,
+                -f01x + f12x, -f01y + f12y,
+                -f02x - f12x, -f02y - f12y]
+
+    return rhs
 
 
-def potential_energy(state: ThreeBodyState, spec: PotentialSpec) -> float:
-    q = state.q
-    return (spec.u((q[0] - q[1]).norm())
-            + spec.u((q[0] - q[2]).norm())
-            + spec.u((q[1] - q[2]).norm()))
+def accelerations(y, spec: PotentialSpec) -> np.ndarray:
+    """(ax0, ay0, ax1, ay1, ax2, ay2): the last six rows of make_rhs(spec) at
+    a flat state y, or at each column of a (12, n) array. Sums to zero
+    exactly up to rounding."""
+    return np.array(make_rhs(spec)(0.0, y)[6:])
 
 
-def kinetic_energy(state: ThreeBodyState) -> float:
-    return 0.5 * sum(p.dot(p) for p in state.p)
+def _floats(y) -> list[float]:
+    """The 12 components of a flat state as Python floats."""
+    return np.asarray(y, dtype=float).tolist()
 
 
-def total_energy(state: ThreeBodyState, spec: PotentialSpec) -> float:
+def potential_energy(y, spec: PotentialSpec) -> float:
+    x0, y0, x1, y1, x2, y2 = _floats(y)[:6]
+    return (spec.u(math.hypot(x0 - x1, y0 - y1))
+            + spec.u(math.hypot(x0 - x2, y0 - y2))
+            + spec.u(math.hypot(x1 - x2, y1 - y2)))
+
+
+def kinetic_energy(y) -> float:
+    vx0, vy0, vx1, vy1, vx2, vy2 = _floats(y)[6:]
+    return 0.5 * ((vx0 * vx0 + vy0 * vy0) + (vx1 * vx1 + vy1 * vy1)
+                  + (vx2 * vx2 + vy2 * vy2))
+
+
+def total_energy(y, spec: PotentialSpec) -> float:
     """E = sum of kinetic energies plus pairwise potential energies."""
-    return kinetic_energy(state) + potential_energy(state, spec)
+    return kinetic_energy(y) + potential_energy(y, spec)
 
 
-def angular_momentum(state: ThreeBodyState) -> float:
-    return sum(q.cross(p) for q, p in zip(state.q, state.p))
+def angular_momentum(y) -> float:
+    x0, y0, x1, y1, x2, y2, vx0, vy0, vx1, vy1, vx2, vy2 = _floats(y)
+    return (x0 * vy0 - y0 * vx0) + (x1 * vy1 - y1 * vx1) + (x2 * vy2 - y2 * vx2)
 
 
-def linear_momentum(state: ThreeBodyState) -> Vec2:
-    return state.p[0] + state.p[1] + state.p[2]
+def linear_momentum(y) -> np.ndarray:
+    vx0, vy0, vx1, vy1, vx2, vy2 = _floats(y)[6:]
+    return np.array([vx0 + vx1 + vx2, vy0 + vy1 + vy2])
 
 
-def center_of_mass(state: ThreeBodyState) -> Vec2:
-    return (state.q[0] + state.q[1] + state.q[2]) * (1.0 / 3.0)
+def center_of_mass(y) -> np.ndarray:
+    x0, y0, x1, y1, x2, y2 = _floats(y)[:6]
+    return np.array([x0 + x1 + x2, y0 + y1 + y2]) * (1.0 / 3.0)
 
 
-def isosceles_state(params: ShootingParams) -> ThreeBodyState:
-    """Initial condition with bodies at (x0, y0), (-2 x0, 0), (x0, -y0).
+def isosceles_state(params: ShootingParams) -> np.ndarray:
+    """Flat launch state with bodies at (x0, y0), (-2 x0, 0), (x0, -y0).
 
     The two mirror bodies launch along the triangle edges with speed v,
     the axis body straight up; this choice makes total linear and
@@ -357,11 +326,9 @@ def isosceles_state(params: ShootingParams) -> ThreeBodyState:
     clockwise.
     """
     x0, y0, v = params.x0, params.y0, params.v
-    q0 = Vec2(x0, y0)
-    q1 = Vec2(-2.0 * x0, 0.0)
-    q2 = Vec2(x0, -y0)
-    edge = math.hypot(3.0 * x0, y0)
-    p0 = (q1 - q0) * (v / edge)
-    p2 = (q2 - q1) * (v / edge)
-    p1 = Vec2(0.0, 2.0 * v / math.sqrt(1.0 + (3.0 * x0 / y0) ** 2))
-    return ThreeBodyState(t=0.0, q=(q0, q1, q2), p=(p0, p1, p2))
+    x1 = -2.0 * x0
+    s = v / math.hypot(3.0 * x0, y0)
+    return np.array([x0, y0, x1, 0.0, x0, -y0,
+                     (x1 - x0) * s, -y0 * s,
+                     0.0, 2.0 * v / math.sqrt(1.0 + (3.0 * x0 / y0) ** 2),
+                     (x0 - x1) * s, -y0 * s])

@@ -32,7 +32,9 @@ from scipy.integrate._ivp import dop853_coefficients as _dop
 from scipy.optimize import brentq
 
 from .artifacts import write_csv
-from .dynamics import PotentialSpec, ThreeBodyState, _pair_g
+# `_propagate` looks `make_rhs` up in this module, so binding the name here
+# lets callers substitute a counting or failing right-hand side
+from .dynamics import PotentialSpec, make_rhs
 
 __all__ = [
     "IntegratorConfig",
@@ -119,33 +121,6 @@ class EventNotFound(IntegrationError):
     """No collinearity sign change before the abort horizon."""
 
 
-def make_rhs(spec: PotentialSpec):
-    """Right-hand side of the first-order system y' = f(y), y = (q, qdot) flat.
-
-    The components of y may be floats or equal-length numpy arrays, one
-    state per array column.
-    """
-    g = _pair_g(spec)
-
-    def rhs(t, y):
-        x0 = y[0]; y0 = y[1]; x1 = y[2]; y1 = y[3]; x2 = y[4]; y2 = y[5]
-        dx = x0 - x1; dy = y0 - y1
-        g01 = g(dx * dx + dy * dy)
-        f01x = g01 * dx; f01y = g01 * dy
-        dx = x0 - x2; dy = y0 - y2
-        g02 = g(dx * dx + dy * dy)
-        f02x = g02 * dx; f02y = g02 * dy
-        dx = x1 - x2; dy = y1 - y2
-        g12 = g(dx * dx + dy * dy)
-        f12x = g12 * dx; f12y = g12 * dy
-        return [y[6], y[7], y[8], y[9], y[10], y[11],
-                f01x + f02x, f01y + f02y,
-                -f01x + f12x, -f01y + f12y,
-                -f02x - f12x, -f02y - f12y]
-
-    return rhs
-
-
 # columns of the sampled-state CSVs of segments and full orbits
 STATE_CSV_COLUMNS = "t,x0,y0,x1,y1,x2,y2,vx0,vy0,vx1,vy1,vx2,vy2".split(",")
 
@@ -167,10 +142,6 @@ class TrajectorySegment:
         self.interpolants = interpolants
         self.t_end = t_end
         self._stacked = None
-
-    @property
-    def times(self) -> list[float]:
-        return list(self.ts)
 
     def eval(self, t: float) -> np.ndarray:
         """Flat 12-vector (positions, velocities) at time t in [0, t_end]."""
@@ -195,9 +166,6 @@ class TrajectorySegment:
         x = (t - t_old[k]) / h[k]
         return _dense_sum(F[:, k], y_old[k], x[:, None], np.zeros((t.size, 12))).T
 
-    def state(self, t: float) -> ThreeBodyState:
-        return ThreeBodyState.from_array(t, self.eval(t))
-
     def to_csv(self, path, n_samples: int = 1000, header_lines: tuple[str, ...] = ()):
         """Uniform sampling of the covered interval to a CSV file."""
         ts = np.linspace(0.0, self.t_end, n_samples)
@@ -205,13 +173,10 @@ class TrajectorySegment:
                   np.vstack([ts, self.eval_many(ts)]).T.tolist())
 
 
-def _collinearity_flat(y) -> float:
+def collinearity(y) -> float:
+    """Cross product (q1 - q0) x (q2 - q0) of a flat state; zero iff the
+    bodies are aligned."""
     return (y[2] - y[0]) * (y[5] - y[1]) - (y[3] - y[1]) * (y[4] - y[0])
-
-
-def collinearity(state: ThreeBodyState) -> float:
-    """Cross product (q1 - q0) x (q2 - q0); zero iff the bodies are aligned."""
-    return (state.q[1] - state.q[0]).cross(state.q[2] - state.q[0])
 
 
 def _min_pair_dist_sq(y) -> float:
@@ -315,7 +280,17 @@ def _probe_times(prev_t: float, t: float) -> list[float]:
     return out
 
 
-def _propagate(state0: ThreeBodyState, spec: PotentialSpec, cfg: IntegratorConfig,
+def _initial_state(y0) -> np.ndarray:
+    """A float64 copy of y0, checked to be one finite flat state."""
+    y = np.array(y0, dtype=float)
+    if y.shape != (12,):
+        raise ValueError(f"a state has shape (12,), got {y.shape}")
+    if not np.isfinite(y).all():
+        raise ValueError("initial state must be finite")
+    return y
+
+
+def _propagate(y: np.ndarray, spec: PotentialSpec, cfg: IntegratorConfig,
                t_bound: float, find_collinear: bool):
     """Shared stepping driver: DOP853 steps from t = 0 towards t_bound.
 
@@ -323,9 +298,6 @@ def _propagate(state0: ThreeBodyState, spec: PotentialSpec, cfg: IntegratorConfi
     near-collision, step-size underflow, or (when event hunting) a missing
     sign change before t_bound.
     """
-    y = state0.to_array()
-    if not np.isfinite(y).all():
-        raise ValueError("initial state must be finite")
     max_step = cfg.max_step
     if max_step <= 0:
         raise ValueError("max_step must be positive")
@@ -355,7 +327,7 @@ def _propagate(state0: ThreeBodyState, spec: PotentialSpec, cfg: IntegratorConfi
         ts = [t]
         interps = []
         prev_t = t
-        prev_c = _collinearity_flat(y)
+        prev_c = collinearity(y)
 
         while True:
             min_step = 10 * abs(math.nextafter(t, math.inf) - t)
@@ -427,7 +399,7 @@ def _propagate(state0: ThreeBodyState, spec: PotentialSpec, cfg: IntegratorConfi
                         if c == 0.0:
                             te = tt
                         else:
-                            te = brentq(lambda s: _collinearity_flat(interp(s)),
+                            te = brentq(lambda s: collinearity(interp(s)),
                                         prev_t, tt, xtol=1e-13, rtol=8.9e-16)
                         seg = TrajectorySegment(ts, interps, te)
                         return seg, te, interp(te)
@@ -447,24 +419,26 @@ def _propagate(state0: ThreeBodyState, spec: PotentialSpec, cfg: IntegratorConfi
     return TrajectorySegment(ts, interps, t), None, None
 
 
-def integrate(state0: ThreeBodyState, spec: PotentialSpec, t_end: float,
+def integrate(y0, spec: PotentialSpec, t_end: float,
               cfg: IntegratorConfig) -> TrajectorySegment:
-    """Propagate state0 for t_end time units, returning the dense segment."""
+    """Propagate the flat state y0 for t_end time units, returning the dense
+    segment."""
     if t_end <= 0:
         raise ValueError("t_end must be positive")
-    seg, _, _ = _propagate(state0, spec, cfg, t_end, find_collinear=False)
+    seg, _, _ = _propagate(_initial_state(y0), spec, cfg, t_end, find_collinear=False)
     return seg
 
 
-def integrate_to_collinear(state0: ThreeBodyState, spec: PotentialSpec,
-                           cfg: IntegratorConfig):
-    """Propagate until the first zero of the collinearity function.
+def integrate_to_collinear(y0, spec: PotentialSpec, cfg: IntegratorConfig):
+    """Propagate the flat state y0 until the first zero of the collinearity
+    function.
 
-    Returns (t_f, state_f, segment). The event time is refined on the
-    dense interpolant to a bracket below 1e-12 in t. Raises EventNotFound
-    if the sign never changes before cfg.t_max.
+    Returns (t_f, y_f, segment), y_f the flat state at t_f. The event time
+    is refined on the dense interpolant to a bracket below 1e-12 in t.
+    Raises EventNotFound if the sign never changes before cfg.t_max.
     """
-    if collinearity(state0) == 0.0:
+    y = _initial_state(y0)
+    if collinearity(y) == 0.0:
         raise ValueError("initial state is already collinear")
-    seg, te, ye = _propagate(state0, spec, cfg, cfg.t_max, find_collinear=True)
-    return te, ThreeBodyState.from_array(te, ye), seg
+    seg, te, ye = _propagate(y, spec, cfg, cfg.t_max, find_collinear=True)
+    return te, ye, seg

@@ -8,6 +8,7 @@ subcommand writes them to `reproduce_report.json`, stamped like every
 other artifact, and the acceptance test suite asserts the same results.
 """
 
+import math
 import os
 import tempfile
 import time
@@ -21,7 +22,7 @@ from .analysis import (collision_report, configuration_energy_extrema,
                        verify_choreography)
 from .continuation import continue_family, locate_special
 from .dynamics import (PotentialSpec, ShootingParams, isosceles_state,
-                       pair_force, pair_potential, total_energy, Vec2,
+                       pair_force, pair_potential, total_energy,
                        angular_momentum, linear_momentum)
 from .integrate import IntegratorConfig, integrate, integrate_to_collinear
 from .shooting import (find_seeds, newton_solve, record_from_params, residuals,
@@ -536,11 +537,10 @@ def c11_property_suite(ctx) -> CriterionResult:
     # conservation along one period (single forward arc)
     seg = integrate(state0, LJ, rec.T, cfg)
     drift_E = drift_L = drift_p = 0.0
-    for t in np.linspace(0.0, rec.T, 25):
-        st = seg.state(float(t))
-        drift_E = max(drift_E, abs(total_energy(st, LJ) - E0))
-        drift_L = max(drift_L, abs(angular_momentum(st)))
-        drift_p = max(drift_p, linear_momentum(st).norm())
+    for y in seg.eval_many(np.linspace(0.0, rec.T, 25)).T:
+        drift_E = max(drift_E, abs(total_energy(y, LJ) - E0))
+        drift_L = max(drift_L, abs(angular_momentum(y)))
+        drift_p = max(drift_p, math.hypot(*linear_momentum(y)))
     ok = _check(details, drift_E <= 1e-9 * (1.0 + abs(E0)),
                 f"energy drift {drift_E:.2e} <= 1e-9 (1+|E|) over one period")
     ok &= _check(details, drift_L <= 1e-9,
@@ -563,7 +563,7 @@ def c11_property_suite(ctx) -> CriterionResult:
     worst = 0.0
     for r in np.linspace(0.8, 3.0, 45):
         fd = -(pair_potential(r + h, LJ) - pair_potential(r - h, LJ)) / (2 * h)
-        f = pair_force(Vec2(r, 0.0), LJ).x
+        f = pair_force((r, 0.0), LJ)[0]
         worst = max(worst, abs(f - fd) / max(abs(fd), 1e-30))
     ok &= _check(details, worst <= 1e-6,
                  f"pair force vs finite difference rel err {worst:.2e} <= 1e-6")
@@ -581,15 +581,12 @@ def c11_property_suite(ctx) -> CriterionResult:
                  "at lambda in {0.5, 2}")
 
     # time reversal recovers the launch state
-    t_f, state_f, _ = integrate_to_collinear(state0, LJ, cfg)
-    y_rev = state_f.to_array()
+    t_f, y_rev, _ = integrate_to_collinear(state0, LJ, cfg)
     y_rev[6:] = -y_rev[6:]
-    from .dynamics import ThreeBodyState
-
-    back = integrate(ThreeBodyState.from_array(0.0, y_rev), LJ, t_f, cfg)
+    back = integrate(y_rev, LJ, t_f, cfg)
     y_back = back.eval(t_f).copy()
     y_back[6:] = -y_back[6:]
-    rev_err = float(np.max(np.abs(y_back - state0.to_array())))
+    rev_err = float(np.max(np.abs(y_back - state0)))
     ok &= _check(details, rev_err <= 1e-8,
                  f"time-reversal recovery sup err {rev_err:.2e} <= 1e-8")
 

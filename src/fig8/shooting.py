@@ -86,20 +86,19 @@ def residuals(params: ShootingParams, spec: PotentialSpec,
     state0 = isosceles_state(params)
     E0 = total_energy(state0, spec)
     try:
-        t_f, state_f, _ = integrate_to_collinear(state0, spec, cfg)
+        t_f, y_f, _ = integrate_to_collinear(state0, spec, cfg)
     except TrajectoryFailure:
         return ResidualSample(params=params, status=STATUS_TRAJECTORY_FAILURE, E=E0)
     except EventNotFound:
         return ResidualSample(params=params, status=STATUS_EVENT_NOT_FOUND, E=E0)
 
-    p1, p2 = state_f.p[1], state_f.p[2]
-    P = p2.cross(p1)
-    d01 = state_f.q[1] - state_f.q[0]
-    d02 = state_f.q[2] - state_f.q[0]
-    r01sq = d01.dot(d01)
-    r02sq = d02.dot(d02)
+    x0, y0, x1, y1, x2, y2, _, _, vx1, vy1, vx2, vy2 = y_f.tolist()
+    P = vx2 * vy1 - vy2 * vx1
+    dx1, dy1, dx2, dy2 = x1 - x0, y1 - y0, x2 - x0, y2 - y0
+    r01sq = dx1 * dx1 + dy1 * dy1
+    r02sq = dx2 * dx2 + dy2 * dy2
     D = r01sq - r02sq
-    speed_scale = p1.norm() * p2.norm()
+    speed_scale = math.hypot(vx1, vy1) * math.hypot(vx2, vy2)
     return ResidualSample(
         params=params, status=STATUS_OK, P=P, D=D, E=E0, t_f=t_f,
         P_norm=P / speed_scale, D_norm=D / max(r01sq, r02sq),

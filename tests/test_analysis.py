@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from fig8.dynamics import (PotentialSpec, ShootingParams, ThreeBodyState, Vec2,
-                           accelerations, isosceles_state, pair_force,
-                           pair_potential, total_energy)
+from fig8.dynamics import (PotentialSpec, ShootingParams, accelerations,
+                           isosceles_state, pair_force, pair_potential,
+                           total_energy)
 from fig8.integrate import IntegratorConfig, integrate_to_collinear
 from fig8.shooting import newton_solve, record_from_params
 from fig8.analysis import (_BLOCK_MAPS, CollisionInterval, CollisionReport,
@@ -78,14 +78,21 @@ def scalar_pair_distance(orbit, i, j, t):
     return float(np.hypot(*(q[i] - q[j])))
 
 
-def refine_crossing(orbit, i, j, r0, lo, hi, tol=1e-10):
-    """Bisect r_ij(t) - r0 to a bracket below tol in t."""
-    flo = scalar_pair_distance(orbit, i, j, lo) - r0
+def scalar_pair_approach(orbit, i, j, t):
+    """(q_i - q_j).(p_i - p_j): half of d(r_ij^2)/dt."""
+    q, p = scalar_orbit_eval(orbit, t)
+    d, v = q[i] - q[j], p[i] - p[j]
+    return float(d[0] * v[0] + d[1] * v[1])
+
+
+def bisect(f, lo, hi, tol=1e-10):
+    """Bisect the sign change of f to a bracket below tol in t."""
+    flo = f(lo)
     for _ in range(200):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        fmid = scalar_pair_distance(orbit, i, j, mid) - r0
+        fmid = f(mid)
         if (flo <= 0.0) == (fmid <= 0.0):
             lo, flo = mid, fmid
         else:
@@ -93,24 +100,15 @@ def refine_crossing(orbit, i, j, r0, lo, hi, tol=1e-10):
     return 0.5 * (lo + hi)
 
 
-def refine_minimum(orbit, i, j, lo, hi, tol=1e-10):
-    """Golden-section minimum of r_ij on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = scalar_pair_distance(orbit, i, j, c)
-    fd = scalar_pair_distance(orbit, i, j, d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = scalar_pair_distance(orbit, i, j, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = scalar_pair_distance(orbit, i, j, d)
-    tm = 0.5 * (a + b)
+def refine_crossing(orbit, i, j, r0, lo, hi):
+    """Bisect r_ij(t) - r0 to a bracket below 1e-10 in t."""
+    return bisect(lambda t: scalar_pair_distance(orbit, i, j, t) - r0, lo, hi)
+
+
+def refine_minimum(orbit, i, j, lo, hi):
+    """Minimum of r_ij on [lo, hi]: bisect d(r_ij^2)/dt to a bracket below
+    1e-10 in t."""
+    tm = bisect(lambda t: scalar_pair_approach(orbit, i, j, t), lo, hi)
     return tm % orbit.T, scalar_pair_distance(orbit, i, j, tm)
 
 
@@ -187,9 +185,9 @@ class TestBuildFullOrbit:
         start = isosceles_state(alpha_record.params)
         perm = (2, 0, 1)
         for i in range(3):
-            src = start.q[perm[i]]
-            assert q[i, 0] == pytest.approx(-src.x, abs=1e-9)
-            assert q[i, 1] == pytest.approx(src.y, abs=1e-9)
+            src = start[2 * perm[i]:2 * perm[i] + 2]
+            assert q[i, 0] == pytest.approx(-src[0], abs=1e-9)
+            assert q[i, 1] == pytest.approx(src[1], abs=1e-9)
 
     def test_passes_through_origin(self, alpha_orbit):
         n12 = alpha_orbit.n_samples // 12
@@ -200,8 +198,8 @@ class TestBuildFullOrbit:
             2.0 * alpha_record.params.x0, abs=1e-6)
 
     def test_energy_constant_on_assembled_orbit(self, alpha_orbit, alpha_record):
-        E = [total_energy(alpha_orbit.state_at(float(t)), LJ)
-             for t in alpha_orbit.t[::60]]
+        E = [total_energy(np.concatenate([q.ravel(), p.ravel()]), LJ)
+             for q, p in map(alpha_orbit.eval, alpha_orbit.t[::60])]
         assert max(E) - min(E) <= 1e-8 * (1.0 + abs(alpha_record.E))
 
     def test_mirror_symmetry_of_the_point_set(self, alpha_orbit):
@@ -302,7 +300,7 @@ class TestCollisions:
         wrapped = [iv for iv in rep.intervals if iv.t_end > T]
         assert [(iv.i, iv.j) for iv in wrapped] == [(0, 2)]
         assert 0.0 < wrapped[0].t_start < T
-        assert min(wrapped[0].t_at_min, T - wrapped[0].t_at_min) < 1e-6
+        assert min(wrapped[0].t_at_min, T - wrapped[0].t_at_min) <= 1e-10
 
     def test_unsupported_potential_rejected(self, alpha_orbit):
         with pytest.raises(ValueError):
@@ -322,7 +320,7 @@ class TestCurvature:
         # exactly the centripetal force, so path curvature is 1/R
         side = 1.5
         R = side / math.sqrt(3.0)
-        f_pair = pair_force(Vec2(side, 0.0), LJ).x  # negative: attraction
+        f_pair = pair_force((side, 0.0), LJ)[0]  # negative: attraction
         F_central = math.sqrt(3.0) * abs(f_pair)
         v = math.sqrt(F_central * R)
         n = 24
@@ -398,12 +396,10 @@ class TestCurvature:
 
         oracle = np.empty(n)
         for k in range(n):
-            state = ThreeBodyState(
-                t=float(t[k]),
-                q=tuple(Vec2(float(q[i, k, 0]), float(q[i, k, 1])) for i in range(3)),
-                p=tuple(Vec2(float(p[i, k, 0]), float(p[i, k, 1])) for i in range(3)))
-            a, v = accelerations(state, spec)[0], state.p[0]
-            oracle[k] = abs(v.cross(a)) / v.norm() ** 3 if v.norm() > 0 else math.nan
+            state = np.concatenate([q[:, k].ravel(), p[:, k].ravel()])
+            (ax, ay), (vx, vy) = accelerations(state, spec)[:2], p[0, k]
+            speed = math.hypot(vx, vy)
+            oracle[k] = abs(vx * ay - vy * ax) / speed ** 3 if speed > 0 else math.nan
         assert kap[:, 0].tolist() == t.tolist()
         at_rest = [True] + [False] * (n - 1)
         assert np.isnan(oracle).tolist() == at_rest

@@ -4,7 +4,9 @@
 whose target is gone is skipped without an error and the metrics that
 need it silently drop out of a traced run, so renaming or unbinding one
 of these names breaks the benchmark's per-layer report. These tests name
-the breakage instead, and one traced run checks the report end to end.
+the breakage instead, and one traced run checks the report end to end:
+every per-layer metric `BENCHMARK.json` declares is present, and the
+integration, step, RHS and hooked-call counts of a fixed seed are pinned.
 """
 
 import importlib
@@ -52,5 +54,12 @@ def test_traced_solve_run_ends_in_a_strict_json_result():
     assert result["correct"] is True
     assert result["failed"] == 0
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert sorted({m["name"] for m in declared} - metrics.keys()) == []
+    # a refactor that reshapes a hooked function changes these counts
     assert metrics["integrate.calls"] == 136
+    assert metrics["integrate.steps"] == 7641
+    assert metrics["integrate.rhs_evals"] == 140015
     assert metrics["analysis.collision_intervals"] == 258
+    assert metrics["dynamics.total_energy.calls"] == 935
+    assert metrics["dynamics.accelerations.calls"] == 17

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fig8.dynamics import (PotentialSpec, ShootingParams, ThreeBodyState, Vec2,
-                           accelerations, angular_momentum, center_of_mass,
-                           isosceles_state, kinetic_energy, linear_momentum,
+from fig8.dynamics import (PotentialSpec, ShootingParams, accelerations,
+                           angular_momentum, center_of_mass, isosceles_state,
+                           kinetic_energy, linear_momentum, make_rhs,
                            pair_force, pair_potential, total_energy)
 
 LJ = PotentialSpec.lj()
@@ -21,22 +21,6 @@ ALPHA = ShootingParams(0.75, 0.725966, 0.522742)
 
 def fd_dudr(r, spec, h=1e-6):
     return (pair_potential(r + h, spec) - pair_potential(r - h, spec)) / (2 * h)
-
-
-class TestVec2:
-    def test_arithmetic(self):
-        a, b = Vec2(1.0, 2.0), Vec2(-3.0, 0.5)
-        assert a + b == Vec2(-2.0, 2.5)
-        assert a - b == Vec2(4.0, 1.5)
-        assert 2.0 * a == Vec2(2.0, 4.0)
-        assert a.dot(b) == -2.0
-        assert a.cross(b) == 1.0 * 0.5 - 2.0 * (-3.0)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Vec2(math.nan, 0.0)
-        with pytest.raises(ValueError):
-            Vec2(0.0, math.inf)
 
 
 class TestPotentialSpec:
@@ -103,56 +87,75 @@ class TestPotentialSpec:
 
 class TestPairForce:
     def test_zero_at_well_bottom(self):
-        f = pair_force(Vec2(R_MIN, 0.0), LJ)
-        assert abs(f.x) < 1e-14 and f.y == 0.0
+        f = pair_force((R_MIN, 0.0), LJ)
+        assert abs(f[0]) < 1e-14 and f[1] == 0.0
 
     def test_homogeneous_attractive(self):
-        f = pair_force(Vec2(1.0, 0.0), H6)
-        assert f.x == pytest.approx(-6.0, abs=1e-12)
-        assert f.y == 0.0
+        f = pair_force((1.0, 0.0), H6)
+        assert f[0] == pytest.approx(-6.0, abs=1e-12)
+        assert f[1] == 0.0
 
     def test_repulsive_inside_core(self):
         # finite-difference oracle for the force magnitude at r = 0.9
-        f = pair_force(Vec2(0.9, 0.0), LJ)
+        f = pair_force((0.9, 0.0), LJ)
         expected = 12.0 * 0.9 ** -13 - 6.0 * 0.9 ** -7
-        assert f.x > 0
-        assert f.x == pytest.approx(expected, rel=1e-12)
-        assert f.x == pytest.approx(-fd_dudr(0.9, LJ), rel=1e-6)
+        assert f[0] > 0
+        assert f[0] == pytest.approx(expected, rel=1e-12)
+        assert f[0] == pytest.approx(-fd_dudr(0.9, LJ), rel=1e-6)
 
     def test_zero_displacement_rejected(self):
         with pytest.raises(ValueError):
-            pair_force(Vec2(0.0, 0.0), LJ)
+            pair_force((0.0, 0.0), LJ)
 
     @settings(max_examples=60, deadline=None)
     @given(r=st.floats(0.8, 3.0), angle=st.floats(0.0, 2 * math.pi))
     def test_matches_potential_gradient(self, r, angle):
-        d = Vec2(r * math.cos(angle), r * math.sin(angle))
+        d = np.array([r * math.cos(angle), r * math.sin(angle)])
         f = pair_force(d, LJ)
         expected = -fd_dudr(r, LJ)
-        assert f.norm() == pytest.approx(abs(expected), rel=1e-6, abs=1e-9)
+        f_norm, d_norm = math.hypot(*f), math.hypot(*d)
+        assert f_norm == pytest.approx(abs(expected), rel=1e-6, abs=1e-9)
         # central: force along +-d only
-        assert abs(f.cross(d)) <= 1e-12 * max(1.0, f.norm() * d.norm())
+        assert abs(f[0] * d[1] - f[1] * d[0]) <= 1e-12 * max(1.0, f_norm * d_norm)
 
 
 def equilateral_state(side):
     h = side * math.sqrt(3.0) / 2.0
-    qs = (Vec2(-side / 2, -h / 3), Vec2(side / 2, -h / 3), Vec2(0.0, 2 * h / 3))
-    zero = Vec2(0.0, 0.0)
-    return ThreeBodyState(t=0.0, q=qs, p=(zero, zero, zero))
+    return np.array([-side / 2, -h / 3, side / 2, -h / 3, 0.0, 2 * h / 3,
+                     0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+
+
+def norms(a):
+    """Euclidean norms of the rows of a (..., 2) array."""
+    return np.hypot(a[..., 0], a[..., 1])
 
 
 class TestAccelerations:
     def test_equilateral_equilibrium(self):
         state = equilateral_state(R_MIN)
-        for a in accelerations(state, LJ):
-            assert a.norm() < 1e-13
+        assert accelerations(state, LJ).shape == (6,)
+        for a in norms(accelerations(state, LJ).reshape(3, 2)):
+            assert a < 1e-13
 
     def test_action_reaction(self):
         state = isosceles_state(ALPHA)
-        a = accelerations(state, LJ)
+        a = accelerations(state, LJ).reshape(3, 2)
         total = a[0] + a[1] + a[2]
-        biggest = max(ai.norm() for ai in a)
-        assert total.norm() <= 1e-12 * biggest
+        biggest = norms(a).max()
+        assert norms(total) <= 1e-12 * biggest
+
+    @pytest.mark.parametrize("spec", [LJ, H6, PotentialSpec.morse(2.0, 1.1)],
+                             ids=lambda s: s.kind)
+    def test_rows_of_the_rhs_on_states_and_arrays(self, spec):
+        rng = np.random.default_rng(7)
+        y = rng.uniform(-0.6, 0.6, (12, 5))
+        y[:6] += np.array([1.0, 0.0, -0.5, 0.9, -0.5, -0.9])[:, None]
+        many = accelerations(y, spec)
+        assert many.shape == (6, 5)
+        assert many.tolist() == np.array(make_rhs(spec)(0.0, y)[6:]).tolist()
+        for k in range(5):
+            one = accelerations(y[:, k], spec)
+            assert one.tolist() == np.array(make_rhs(spec)(0.0, y[:, k])[6:]).tolist()
 
     def test_matches_finite_difference_of_total_potential(self):
         state = isosceles_state(ShootingParams(0.75, 0.725966, 0.522742))
@@ -168,9 +171,7 @@ class TestAccelerations:
                     tot += pair_potential(r, LJ)
             return tot
 
-        flat = []
-        for qv in state.q:
-            flat += [qv.x, qv.y]
+        flat = state[:6].tolist()
         for i in range(3):
             for c in range(2):
                 up = list(flat)
@@ -178,14 +179,8 @@ class TestAccelerations:
                 up[2 * i + c] += h
                 dn[2 * i + c] -= h
                 grad = (U(up) - U(dn)) / (2 * h)
-                got = (acc[i].x, acc[i].y)[c]
+                got = acc[2 * i + c]
                 assert got == pytest.approx(-grad, rel=1e-6, abs=1e-8)
-
-    def test_coincident_bodies_rejected(self):
-        with pytest.raises(ValueError):
-            ThreeBodyState(t=0.0,
-                           q=(Vec2(0, 0), Vec2(0, 0), Vec2(1, 1)),
-                           p=(Vec2(0, 0), Vec2(0, 0), Vec2(0, 0)))
 
 
 class TestEnergyAndMoments:
@@ -195,10 +190,7 @@ class TestEnergyAndMoments:
 
     def test_rest_collinear_energy_closed_form(self):
         r = (2731.0 / 1376.0) ** (1.0 / 6.0)
-        zero = Vec2(0.0, 0.0)
-        state = ThreeBodyState(t=0.0,
-                               q=(Vec2(-r, 0.0), Vec2(0.0, 0.0), Vec2(r, 0.0)),
-                               p=(zero, zero, zero))
+        state = np.array([-r, 0.0, 0.0, 0.0, r, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         assert total_energy(state, LJ) == pytest.approx(-5547.0 / 10924.0,
                                                         abs=1e-14)
 
@@ -207,11 +199,7 @@ class TestEnergyAndMoments:
         assert abs(total_energy(state, LJ)) <= 1e-6
 
     def test_simple_angular_momentum(self):
-        state = ThreeBodyState(
-            t=0.0,
-            q=(Vec2(1, 0), Vec2(-1, 0), Vec2(0, 1)),
-            p=(Vec2(0, 1), Vec2(0, -1), Vec2(0, 0)),
-        )
+        state = np.array([1, 0, -1, 0, 0, 1, 0, 1, 0, -1, 0, 0], dtype=float)
         assert angular_momentum(state) == 2.0
 
     def test_kinetic_energy(self):
@@ -223,43 +211,35 @@ class TestEnergyAndMoments:
 class TestIsoscelesState:
     def test_alpha_launch_moments(self):
         state = isosceles_state(ALPHA)
-        assert linear_momentum(state).norm() < 1e-15
+        assert norms(linear_momentum(state)) < 1e-15
         assert abs(angular_momentum(state)) < 1e-15
-        assert center_of_mass(state).norm() < 1e-15
+        assert norms(center_of_mass(state)) < 1e-15
 
     def test_edge_speeds_equal_v(self):
         p = ShootingParams(0.63, 1.21, 0.37)
         state = isosceles_state(p)
-        assert state.p[0].norm() == pytest.approx(p.v, rel=1e-15)
-        assert state.p[2].norm() == pytest.approx(p.v, rel=1e-15)
+        assert norms(state[6:8]) == pytest.approx(p.v, rel=1e-15)
+        assert norms(state[10:12]) == pytest.approx(p.v, rel=1e-15)
 
     def test_axis_body_velocity(self):
         state = isosceles_state(ShootingParams(1.0, 1.0, 1.0))
-        assert state.p[1].x == 0.0
-        assert state.p[1].y == pytest.approx(2.0 / math.sqrt(10.0), rel=1e-15)
+        assert state[8] == 0.0
+        assert state[9] == pytest.approx(2.0 / math.sqrt(10.0), rel=1e-15)
 
     def test_geometry(self):
         state = isosceles_state(ShootingParams(0.8, 0.6, 0.3))
-        assert state.q[0] == Vec2(0.8, 0.6)
-        assert state.q[1] == Vec2(-1.6, 0.0)
-        assert state.q[2] == Vec2(0.8, -0.6)
+        assert state.shape == (12,) and state.dtype == np.float64
+        assert state[:6].tolist() == [0.8, 0.6, -1.6, 0.0, 0.8, -0.6]
 
     @settings(max_examples=60, deadline=None)
     @given(x0=st.floats(0.1, 3.0), y0=st.floats(0.1, 3.0), v=st.floats(0.01, 2.0))
     def test_invariants_hold_everywhere(self, x0, y0, v):
         state = isosceles_state(ShootingParams(x0, y0, v))
         scale = max(1.0, v)
-        assert linear_momentum(state).norm() <= 1e-14 * scale
+        assert norms(linear_momentum(state)) <= 1e-14 * scale
         assert abs(angular_momentum(state)) <= 1e-13 * scale * max(x0, y0)
 
     def test_positivity_enforced(self):
         for bad in ((0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, 0.0)):
             with pytest.raises(ValueError):
                 ShootingParams(*bad)
-
-
-class TestStateArrayRoundTrip:
-    def test_round_trip(self):
-        state = isosceles_state(ALPHA)
-        again = ThreeBodyState.from_array(state.t, state.to_array())
-        assert again == state

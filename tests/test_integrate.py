@@ -6,19 +6,20 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
 import fig8.integrate as fig8_integrate
-from fig8.dynamics import (PotentialSpec, ShootingParams, ThreeBodyState, Vec2,
-                           angular_momentum, isosceles_state, linear_momentum,
-                           total_energy)
+from fig8.dynamics import (PotentialSpec, ShootingParams, angular_momentum,
+                           isosceles_state, linear_momentum, total_energy)
 from fig8.integrate import (_EVENT_PROBES, EventNotFound, IntegrationError,
                             IntegratorConfig, StiffnessFailure,
                             TrajectoryFailure, TrajectorySegment,
-                            _collinearity_flat, _min_pair_dist_sq,
-                            _probe_times, collinearity, integrate,
-                            integrate_to_collinear)
+                            _min_pair_dist_sq, _probe_times, collinearity,
+                            integrate, integrate_to_collinear)
 from fig8.shooting import STATUS_TRAJECTORY_FAILURE, residuals
 
 LJ = PotentialSpec.lj()
@@ -30,13 +31,14 @@ HOMOG = ShootingParams(1.0, 0.985945, 0.234675)
 R_MIN = 2.0 ** (1.0 / 6.0)
 
 
+def at_rest(*q):
+    """Flat state of three bodies at rest at the positions q."""
+    return np.array([*q, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], dtype=float)
+
+
 def equilateral_rest(side):
     h = side * math.sqrt(3.0) / 2.0
-    zero = Vec2(0.0, 0.0)
-    return ThreeBodyState(t=0.0,
-                          q=(Vec2(-side / 2, -h / 3), Vec2(side / 2, -h / 3),
-                             Vec2(0.0, 2 * h / 3)),
-                          p=(zero, zero, zero))
+    return at_rest(-side / 2, -h / 3, side / 2, -h / 3, 0.0, 2 * h / 3)
 
 
 class TestCollinearity:
@@ -46,41 +48,32 @@ class TestCollinearity:
             6.0 * p.x0 * p.y0, rel=1e-15)
 
     def test_collinear_placement(self):
-        zero = Vec2(0.0, 0.0)
-        state = ThreeBodyState(t=0.0,
-                               q=(Vec2(0, 0), Vec2(1, 1), Vec2(2, 2)),
-                               p=(zero, zero, zero))
-        assert collinearity(state) == 0.0
+        assert collinearity(at_rest(0, 0, 1, 1, 2, 2)) == 0.0
 
     def test_euler_placement(self):
-        zero = Vec2(0.0, 0.0)
-        state = ThreeBodyState(t=0.0,
-                               q=(Vec2(0, 0), Vec2(-1.3, 0.7), Vec2(1.3, -0.7)),
-                               p=(zero, zero, zero))
-        assert collinearity(state) == 0.0
+        assert collinearity(at_rest(0, 0, -1.3, 0.7, 1.3, -0.7)) == 0.0
 
 
 class TestIntegrate:
     def test_equilibrium_stays_put(self):
         state = equilateral_rest(R_MIN)
         seg = integrate(state, LJ, 1.0, CFG)
-        assert np.max(np.abs(seg.eval(1.0) - state.to_array())) < 1e-9
+        assert np.max(np.abs(seg.eval(1.0) - state)) < 1e-9
 
     def test_energy_drift_over_alpha_period(self):
         state = isosceles_state(ALPHA)
         E0 = total_energy(state, LJ)
         T = 20.4287
         seg = integrate(state, LJ, T, CFG)
-        for t in np.linspace(0.0, T, 17):
-            st = seg.state(float(t))
-            assert abs(total_energy(st, LJ) - E0) <= 1e-9 * (1.0 + abs(E0))
+        for y in seg.eval_many(np.linspace(0.0, T, 17)).T:
+            assert abs(total_energy(y, LJ) - E0) <= 1e-9 * (1.0 + abs(E0))
 
     def test_momenta_conserved(self):
         state = isosceles_state(ALPHA)
         seg = integrate(state, LJ, 10.0, CFG)
-        end = seg.state(10.0)
+        end = seg.eval(10.0)
         assert abs(angular_momentum(end)) <= 1e-9
-        assert linear_momentum(end).norm() <= 1e-9
+        assert math.hypot(*linear_momentum(end)) <= 1e-9
 
     def test_homogeneous_period_closure(self):
         # The orbit closes after T = 61.2 x0^4. One forward arc cannot show
@@ -96,9 +89,9 @@ class TestIntegrate:
         state = isosceles_state(rec.params)
         half = rec.T / 2.0
         fwd = integrate(state, H6, half, CFG)
-        y = state.to_array()
+        y = state.copy()
         y[6:] = -y[6:]
-        bwd = integrate(ThreeBodyState.from_array(0.0, y), H6, half, CFG)
+        bwd = integrate(y, H6, half, CFG)
         yf = fwd.eval(half)
         yb = bwd.eval(half).copy()
         yb[6:] = -yb[6:]
@@ -112,7 +105,7 @@ class TestIntegrate:
 class TestSegment:
     def test_times_and_interpolant_consistency(self):
         seg = integrate(isosceles_state(ALPHA), LJ, 3.0, CFG)
-        ts = seg.times
+        ts = seg.ts
         assert all(b > a for a, b in zip(ts, ts[1:]))
         # interpolant agrees with itself at step joints
         for t in ts[1:-1]:
@@ -129,7 +122,7 @@ class TestSegment:
         assert lines[1].startswith("t,x0,y0")
         assert len(lines) == 22
         row0 = [float(x) for x in lines[2].split(",")]
-        assert row0[1:] == pytest.approx(list(isosceles_state(ALPHA).to_array()))
+        assert row0[1:] == pytest.approx(list(isosceles_state(ALPHA)))
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
@@ -184,25 +177,21 @@ class TestRhsOnArrays:
 class TestCollinearEvent:
     def test_homogeneous_event_time(self):
         # one twelfth of the scaling-family period
-        tf, state_f, seg = integrate_to_collinear(isosceles_state(HOMOG), H6, CFG)
+        tf, _, seg = integrate_to_collinear(isosceles_state(HOMOG), H6, CFG)
         assert tf == pytest.approx(61.2 / 12.0, abs=1e-3)
         assert seg.t_end == tf
 
     def test_alpha_event_is_central_configuration(self):
-        tf, state_f, _ = integrate_to_collinear(isosceles_state(ALPHA), LJ, CFG)
+        tf, y_f, _ = integrate_to_collinear(isosceles_state(ALPHA), LJ, CFG)
         # inner body crosses the origin while the outer two move in parallel
-        assert state_f.q[0].norm() < 1e-4
-        assert (state_f.p[1] - state_f.p[2]).norm() < 1e-4
+        assert math.hypot(*y_f[0:2]) < 1e-4
+        assert math.hypot(*(y_f[8:10] - y_f[10:12])) < 1e-4
 
     def test_event_refinement_quality(self):
-        tf, state_f, seg = integrate_to_collinear(isosceles_state(ALPHA), LJ, CFG)
-        scale = ((state_f.q[1] - state_f.q[0]).norm()
-                 * (state_f.q[2] - state_f.q[0]).norm())
-        assert abs(collinearity(state_f)) <= 1e-12 * scale
-        # sign change brackets the reported time within 1e-12
-        before = ThreeBodyState.from_array(0.0, seg.eval(tf - 1e-9))
-        assert collinearity(before) * collinearity(state_f) >= 0 or True
-        assert collinearity(ThreeBodyState.from_array(0.0, seg.eval(tf - 1e-6))) > 0
+        tf, y_f, seg = integrate_to_collinear(isosceles_state(ALPHA), LJ, CFG)
+        scale = math.hypot(*(y_f[2:4] - y_f[0:2])) * math.hypot(*(y_f[4:6] - y_f[0:2]))
+        assert abs(collinearity(y_f)) <= 1e-12 * scale
+        assert collinearity(seg.eval(tf - 1e-6)) > 0
 
     def test_self_convergence(self):
         tf1, _, _ = integrate_to_collinear(isosceles_state(ALPHA), LJ, CFG)
@@ -212,32 +201,74 @@ class TestCollinearEvent:
 
     def test_mirror_symmetry_same_event_time(self):
         tf, _, _ = integrate_to_collinear(isosceles_state(ALPHA), LJ, CFG)
-        base = isosceles_state(ALPHA)
-        mirrored = ThreeBodyState(
-            t=0.0,
-            q=tuple(Vec2(q.x, -q.y) for q in base.q),
-            p=tuple(Vec2(p.x, -p.y) for p in base.p),
-        )
+        mirrored = isosceles_state(ALPHA) * np.tile([1.0, -1.0], 6)
         tf_m, _, _ = integrate_to_collinear(mirrored, LJ, CFG)
         assert tf_m == pytest.approx(tf, abs=1e-10)
 
     def test_time_reversal_recovers_start(self):
         state0 = isosceles_state(ALPHA)
-        tf, state_f, _ = integrate_to_collinear(state0, LJ, CFG)
-        y = state_f.to_array()
+        tf, y, _ = integrate_to_collinear(state0, LJ, CFG)
         y[6:] = -y[6:]
-        back = integrate(ThreeBodyState.from_array(0.0, y), LJ, tf, CFG)
+        back = integrate(y, LJ, tf, CFG)
         yb = back.eval(tf).copy()
         yb[6:] = -yb[6:]
-        assert np.max(np.abs(yb - state0.to_array())) < 1e-9
+        assert np.max(np.abs(yb - state0)) < 1e-9
 
     def test_already_collinear_rejected(self):
-        zero = Vec2(0.0, 0.0)
-        state = ThreeBodyState(t=0.0,
-                               q=(Vec2(0, 0), Vec2(-1, 0), Vec2(1, 0)),
-                               p=(zero, zero, zero))
         with pytest.raises(ValueError):
-            integrate_to_collinear(state, LJ, CFG)
+            integrate_to_collinear(at_rest(0, 0, -1, 0, 1, 0), LJ, CFG)
+
+
+COMPONENTS = st.one_of(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+                       st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def launch_vectors(draw):
+    """Random flat states, wrong shapes, coincident bodies, collinear starts."""
+    kind = draw(st.sampled_from(["random", "shape", "coincident", "collinear"]))
+    if kind == "shape":
+        shape = draw(st.sampled_from([(), (0,), (6,), (11,), (13,), (12, 1), (2, 6)]))
+        return draw(arrays(np.float64, shape, elements=COMPONENTS))
+    y = draw(arrays(np.float64, 12, elements=COMPONENTS))
+    i, j = draw(st.permutations(range(3)))[:2]
+    if kind == "coincident":
+        y[2 * j:2 * j + 2] = y[2 * i:2 * i + 2]
+    elif kind == "collinear":
+        # body 2 on the line through bodies 0 and 1
+        with np.errstate(invalid="ignore"):
+            y[4:6] = y[0:2] + draw(st.floats(-2.0, 2.0)) * (y[2:4] - y[0:2])
+    return y
+
+
+class TestLaunchStateBoundary:
+    @settings(max_examples=200, deadline=None)
+    @given(y0=launch_vectors(), spec=st.sampled_from([LJ, H6, PotentialSpec.morse(2.0, 1.1)]))
+    def test_any_vector_returns_or_raises_a_declared_error(self, y0, spec):
+        cfg = IntegratorConfig(t_max=0.5)
+        malformed = y0.shape != (12,) or not np.isfinite(y0).all()
+        for run in (lambda: integrate(y0, spec, 0.5, cfg),
+                    lambda: integrate_to_collinear(y0, spec, cfg)):
+            if malformed:
+                with pytest.raises(ValueError):
+                    run()
+                continue
+            # numpy warns where the generic force law meets a zero distance
+            # or overflows; the distance guard then ends the run
+            try:
+                with np.errstate(all="ignore"):
+                    run()
+            except (ValueError, IntegrationError):
+                pass
+
+    def test_coincident_bodies_fail_at_t0(self):
+        y = at_rest(0.3, 0.2, 0.3, 0.2, -1.0, 0.5)
+        with pytest.raises(TrajectoryFailure) as err:
+            integrate(y, LJ, 1.0, CFG)
+        assert err.value.t == 0.0
+        # a coincident pair is aligned with any third body
+        with pytest.raises(ValueError, match="collinear"):
+            integrate_to_collinear(y, LJ, CFG)
 
 
 class TestEventProbes:
@@ -343,7 +374,7 @@ def _scipy_propagate(state0, spec, cfg, t_bound, find_collinear):
     Returns (ts, interpolants, t_end, y_event or None); raises as the
     driver does.
     """
-    y0 = state0.to_array()
+    y0 = np.array(state0, dtype=float)
     solver = DOP853(fig8_integrate.make_rhs(spec), 0.0, y0, t_bound,
                     rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step)
     min_d2 = cfg.min_distance ** 2
@@ -351,7 +382,7 @@ def _scipy_propagate(state0, spec, cfg, t_bound, find_collinear):
         raise TrajectoryFailure("bodies closer than min_distance", 0.0)
     ts = [0.0]
     interps = []
-    prev_t, prev_c = 0.0, _collinearity_flat(y0)
+    prev_t, prev_c = 0.0, collinearity(y0)
     while solver.status == "running":
         solver.step()
         if solver.status == "failed":
@@ -362,10 +393,10 @@ def _scipy_propagate(state0, spec, cfg, t_bound, find_collinear):
         if find_collinear:
             for frac in (0.25, 0.5, 0.75, 1.0):
                 tt = prev_t + frac * (solver.t - prev_t)
-                c = _collinearity_flat(interp(tt))
+                c = collinearity(interp(tt))
                 if c == 0.0 or (prev_c > 0.0) != (c > 0.0):
                     te = tt if c == 0.0 else brentq(
-                        lambda s: _collinearity_flat(interp(s)),
+                        lambda s: collinearity(interp(s)),
                         prev_t, tt, xtol=1e-13, rtol=8.9e-16)
                     return ts, interps, te, np.asarray(interp(te), dtype=float)
                 prev_t, prev_c = tt, c
@@ -445,11 +476,11 @@ class TestScipyParity:
         if isinstance(ref, Exception):
             _assert_same_failure(new, ref)
             return
-        t_f, state_f, seg = new
+        t_f, y_f, seg = new
         ts, _, te, ye = ref
         assert seg.ts == ts
         assert t_f == te and seg.t_end == te
-        assert state_f.to_array().tolist() == ye.tolist()
+        assert y_f.tolist() == ye.tolist()
         if case == "long-tail":
             assert 97.0 < t_f < 97.5
 

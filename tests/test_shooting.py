@@ -68,8 +68,8 @@ class TestResiduals:
         from fig8.integrate import integrate_to_collinear
 
         s = residuals(ALPHA, LJ, CFG)
-        _, state_f, _ = integrate_to_collinear(isosceles_state(ALPHA), LJ, CFG)
-        assert total_energy(state_f, LJ) == pytest.approx(s.E, abs=1e-10)
+        _, y_f, _ = integrate_to_collinear(isosceles_state(ALPHA), LJ, CFG)
+        assert total_energy(y_f, LJ) == pytest.approx(s.E, abs=1e-10)
 
 
 def synthetic_grid(pfun, dfun, y0_axis, v_axis, fail_at=()):
