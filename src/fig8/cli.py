@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="run the published-value checks")
     common(p)
     p.add_argument("--quick", action="store_true",
-                   help="fast subset (well under five minutes)")
+                   help="fast subset (seconds)")
     p.set_defaults(func=cmd_reproduce)
     return parser
 

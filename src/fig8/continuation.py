@@ -19,7 +19,7 @@ import numpy as np
 from .artifacts import write_csv
 from .dynamics import PotentialSpec
 from .integrate import IntegrationError, IntegratorConfig
-from .shooting import (ResidualSample, SolutionRecord, SolverError, fd_jacobian,
+from .shooting import (SolutionRecord, SolverError, fd_jacobian,
                        residuals, solve_on_plane)
 
 __all__ = [
@@ -77,13 +77,6 @@ def _normal_plane(tangent: np.ndarray) -> np.ndarray:
     return np.linalg.svd(tangent.reshape(1, 3))[2][1:]
 
 
-def _record_from(sample: ResidualSample, spec: PotentialSpec,
-                 label: str | None) -> SolutionRecord:
-    return SolutionRecord(params=sample.params, T=12.0 * sample.t_f, E=sample.E,
-                          residual_norm=sample.norm, potential=spec,
-                          series_label=label)
-
-
 def continue_family(start: SolutionRecord, spec: PotentialSpec,
                     cfg: IntegratorConfig, step: float = 0.01,
                     n_steps: int = 500, direction: int = 1,
@@ -112,8 +105,8 @@ def continue_family(start: SolutionRecord, spec: PotentialSpec,
     if s0.norm > max(tol, 10.0 * start.residual_norm + 1e-14):
         raise ContinuationError(
             f"start point residual {s0.norm:.2e} above tolerance {tol:.2e}")
-    series = ContinuationSeries(label=label, points=[_record_from(s0, spec, label)],
-                                tol=tol)
+    series = ContinuationSeries(
+        label=label, points=[SolutionRecord.from_sample(s0, spec, label)], tol=tol)
     # initial tangent: null direction of the residual Jacobian, oriented along x0
     J = fd_jacobian(u, s0, np.eye(3), scale, spec, cfg)
     tangent = np.linalg.svd(J)[2][2]
@@ -137,7 +130,7 @@ def continue_family(start: SolutionRecord, spec: PotentialSpec,
                 break
             continue
         us.append(u_new.copy())
-        series.points.append(_record_from(s_new, spec, label))
+        series.points.append(SolutionRecord.from_sample(s_new, spec, label))
         if len(us) >= 3:
             d1 = us[-1][0] - us[-2][0]
             d0 = us[-2][0] - us[-3][0]
@@ -223,7 +216,7 @@ def locate_special(series: ContinuationSeries, kind: str,
 
         s_root = brentq(E_at, S[idx], S[idx + 1], xtol=s_tol * max(S[-1], 1.0))
         smp = cache.get(s_root) or _probe_at_s(series, spec, cfg, us, S, s_root)[1]
-        rec = _record_from(smp, spec, series.label)
+        rec = SolutionRecord.from_sample(smp, spec, series.label)
         series.special_points.append((kind, rec))
         return rec
 
@@ -260,6 +253,6 @@ def locate_special(series: ContinuationSeries, kind: str,
             d = a + invphi * (b - a)
             fd, smp_d = value_at(d)
     smp = smp_c if fc < fd else smp_d
-    rec = _record_from(smp, spec, series.label)
+    rec = SolutionRecord.from_sample(smp, spec, series.label)
     series.special_points.append((kind, rec))
     return rec

@@ -121,9 +121,6 @@ class ContourGrid:
                 len(row) != len(self.v_axis) for row in self.samples):
             raise ValueError("sample matrix shape must match the axes")
 
-    def sample(self, i: int, j: int) -> ResidualSample:
-        return self.samples[i][j]
-
     def to_csv(self, path, header_lines: tuple[str, ...] = ()):
         """Long-format CSV: one row per lattice point."""
         write_csv(path, header_lines, "x0,y0,v,P,D,E,t_f,status".split(","),
@@ -250,6 +247,13 @@ class SolutionRecord:
     potential: PotentialSpec
     n0: int | None = None
     series_label: str | None = None
+
+    @classmethod
+    def from_sample(cls, s: ResidualSample, spec: PotentialSpec,
+                    label: str | None = None) -> "SolutionRecord":
+        """Record of a successful residual sample (T is twelve event times)."""
+        return cls(params=s.params, T=12.0 * s.t_f, E=s.E, residual_norm=s.norm,
+                   potential=spec, series_label=label)
 
     def with_n0(self, n0: int) -> "SolutionRecord":
         return replace(self, n0=n0)
@@ -391,8 +395,7 @@ def newton_solve(seed: ShootingParams, spec: PotentialSpec, cfg: IntegratorConfi
     """
     _, s, _ = solve_on_plane(np.array([seed.x0, seed.y0, seed.v]), np.ones(3),
                              _FIXED_X0, spec, cfg, tol, max_iter)
-    return SolutionRecord(params=s.params, T=12.0 * s.t_f, E=s.E,
-                          residual_norm=s.norm, potential=spec)
+    return SolutionRecord.from_sample(s, spec)
 
 
 def record_from_params(params: ShootingParams, spec: PotentialSpec,
@@ -405,8 +408,7 @@ def record_from_params(params: ShootingParams, spec: PotentialSpec,
     s = residuals(params, spec, cfg)
     if not s.ok:
         raise SolverError(f"trajectory failed for {params}: {s.status}")
-    return SolutionRecord(params=params, T=12.0 * s.t_f, E=s.E,
-                          residual_norm=s.norm, potential=spec)
+    return SolutionRecord.from_sample(s, spec)
 
 
 def solution_record_json(record: SolutionRecord,

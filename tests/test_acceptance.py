@@ -1,9 +1,9 @@
 """Acceptance suite: every published-value criterion at its stated tolerance.
 
-Each test runs one criterion through the same implementation the
-`fig8 reproduce` command uses and prints its pass/fail line plus the
-per-check details. Expensive artifacts (converged solutions, series,
-grids) are shared through a module-scoped context.
+Each test runs one criterion through the same runner the `fig8 reproduce`
+command uses and prints its pass/fail line plus the per-check details.
+Expensive artifacts (converged solutions, series, grids) are shared
+through a module-scoped context.
 
 Criterion 5 is asserted exactly as stated and is expected to fail on
 three of its eighteen entries; see the strict xfail reason for the
@@ -22,12 +22,10 @@ def ctx():
     return rep.ReproduceContext(jobs=min(8, os.cpu_count() or 1), quick=False)
 
 
-def run_criterion(ctx, func):
-    result = func(ctx)
+def run_criterion(ctx, crit):
+    result = rep.run_criterion(ctx, crit)
     print()
-    print(result.line())
-    for line in result.details:
-        print("   " + line)
+    result.show()
     return result
 
 

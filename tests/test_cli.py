@@ -5,11 +5,12 @@ import json
 import pytest
 
 from fig8 import __version__
+from fig8 import reproduce as rep
 from fig8.cli import main
 from fig8.config import ConfigError, RunConfig, load_config, parse_potential
 from fig8.dynamics import PotentialSpec
 from fig8.integrate import IntegratorConfig
-from fig8.shooting import solution_record_from_json
+from fig8.shooting import SolverError, solution_record_from_json
 
 
 def run_cli(*args):
@@ -311,6 +312,32 @@ class TestReproduceCommand:
         assert {r["criterion"] for r in ran} == {1, 2, 6, 8, 11}
         assert all(r["passed"] for r in ran)
         assert out.count("[PASS]") == len(ran)
+        # skipped criteria carry their declared titles too
+        skipped = {r["criterion"] for r in report["results"] if r["skipped"]}
+        assert skipped == {3, 4, 5, 7, 9, 10}
+        declared = {c.cid: c.title for c in rep.CRITERIA}
+        assert {r["criterion"]: r["title"] for r in report["results"]} == declared
+        assert not any("\n" in title for title in declared.values())
+
+    def test_criterion_error_is_a_failed_result(self, monkeypatch):
+        calls = []
+        solved = object()
+
+        def newton_solve(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise SolverError("singular Jacobian")
+            return solved
+
+        monkeypatch.setattr(rep, "newton_solve", newton_solve)
+        ctx = rep.ReproduceContext()
+        res = rep.run_criterion(ctx, rep.c02_alpha_solution)
+        assert (res.cid, res.title, res.passed) == (
+            2, "first Lennard-Jones solution at x0 = 0.75", False)
+        assert "error: SolverError: singular Jacobian" in res.details
+        # a build that raised is not cached; a build that succeeded is
+        assert ctx.alpha_record is solved and ctx.alpha_record is solved
+        assert len(calls) == 2
 
     def test_zero_jobs_exits_5(self, tmp_path):
         assert run_cli("reproduce", "--quick", "--jobs", 0, "-o", tmp_path) == 5
