@@ -6,17 +6,28 @@ II.5-II.6). Its step loop lives in this module. The loop repeats the
 arithmetic of scipy's `DOP853` solver one operation at a time: the stage
 sums, the initial-step rule, the error norm, the step controller, the
 clip at the end time, and the dense-output rows and Horner sum. So it
-takes the same steps, makes the same right-hand-side calls and returns
-the same bits, without the solver object's per-step overhead. scipy
-supplies the tableau (`scipy.integrate._ivp.dop853_coefficients`) and
-`brentq`.
+takes the same steps and returns the same bits, without the solver
+object's per-step overhead. scipy supplies the tableau
+(`scipy.integrate._ivp.dop853_coefficients`) and `brentq`.
 
 On that stepper: error-controlled integration to a fixed time, per-step
 dense interpolants, near-collision failure detection, and localization
 of the first collinearity event. The event is found by the sign of the
-collinearity function at four probes per accepted step, at 0.25, 0.625,
-0.90625 and 1.0 of the step (see `_EVENT_PROBES`), and refined by Brent's
-method on the step's interpolant.
+collinearity function at four probes per step, at 0.25, 0.625, 0.90625
+and 1.0 of the step (see `_EVENT_PROBES`), and refined by Brent's method
+on the step's interpolant (Shampine & Thompson, "Event location for
+ordinary differential equations", Comput. Math. Appl. 39, 2000).
+
+While hunting the event, each accepted step first runs a pre-test on data
+it already has: the quintic Hermite interpolant of the collinearity
+function from its value and first two derivatives at both step ends
+(positions, velocities and the end accelerations of the stage array). Only
+a step whose quintic comes within a margin of zero (see `_EVENT_MARGIN`)
+builds its dense output and runs the probes. Every other step keeps its
+stage rows and builds its interpolant on first use, to the same bits. So
+an event hunt makes scipy's right-hand-side calls less the three dense
+stages of each cleared step, and finds the same event; a fixed-time
+`integrate` builds every dense output as it steps and makes scipy's calls.
 
 Single trajectories integrate sequentially; distinct trajectories share
 no mutable state and may run concurrently.
@@ -242,16 +253,52 @@ def _dense_sum(F, y_old, x, y):
     return y
 
 
+def _dense_output(K, rhs, t_old: float, y_old: np.ndarray, y: np.ndarray,
+                  h: float) -> np.ndarray:
+    """Rows F of the dense output on the step [t_old, t_old + h] to y.
+
+    K holds the step's stages in rows 0..12 (the last one the derivative at
+    y); this fills its dense-stage rows 13..15 first, as scipy's solver
+    does, with the same np.dot layout.
+    """
+    for s, a, c in _DENSE_STAGES:
+        K[s] = rhs(t_old + c * h, (y_old + np.dot(K[:s].T, a) * h).tolist())
+    F = np.empty((_dop.INTERPOLATOR_POWER, 12))
+    delta_y = y - y_old
+    F[0] = delta_y
+    F[1] = h * K[0] - delta_y
+    F[2] = 2 * delta_y - h * (K[_N_STAGES] + K[0])
+    F[3:] = h * np.dot(_dop.D, K)
+    return F
+
+
 class _StepInterpolant:
-    """DOP853 dense output on one accepted step [t_old, t]."""
+    """DOP853 dense output on one accepted step [t_old, t].
 
-    __slots__ = ("t_old", "h", "y_old", "F")
+    Built with its rows F, or deferred: then it keeps a copy of the step's
+    stage rows 0..12, the end state y and the right-hand side, and builds
+    F on first use, from the same arithmetic and so to the same bits.
+    """
 
-    def __init__(self, t_old: float, t: float, y_old: np.ndarray, F: np.ndarray):
+    __slots__ = ("t_old", "h", "y_old", "_F", "_deferred")
+
+    def __init__(self, t_old: float, t: float, y_old: np.ndarray, F=None,
+                 deferred=None):
         self.t_old = t_old
         self.h = t - t_old
         self.y_old = y_old
-        self.F = F
+        self._F = F
+        self._deferred = deferred
+
+    @property
+    def F(self) -> np.ndarray:
+        if self._F is None:
+            stages, y, rhs = self._deferred
+            K = np.empty((_N_ROWS, 12))
+            K[:_N_STAGES + 1] = stages
+            self._F = _dense_output(K, rhs, self.t_old, self.y_old, y, self.h)
+            self._deferred = None
+        return self._F
 
     def __call__(self, t):
         """Flat 12-vector at a scalar t; shape (12, n) for n times."""
@@ -280,6 +327,63 @@ def _probe_times(prev_t: float, t: float) -> list[float]:
     return out
 
 
+def _collinearity_jet(y, f) -> tuple[float, float, float, float]:
+    """(C, dC/dt, d2C/dt2, |q1 - q0|^2 + |q2 - q0|^2) of the collinearity
+    function C at a flat state y (a list) with derivative f (a list).
+
+    Closed form from positions, velocities and the accelerations f[6:];
+    C equals `collinearity(y)` bit for bit.
+    """
+    ux = y[2] - y[0]; uy = y[3] - y[1]; wx = y[4] - y[0]; wy = y[5] - y[1]
+    vux = y[8] - y[6]; vuy = y[9] - y[7]; vwx = y[10] - y[6]; vwy = y[11] - y[7]
+    aux = f[8] - f[6]; auy = f[9] - f[7]; awx = f[10] - f[6]; awy = f[11] - f[7]
+    c = ux * wy - uy * wx
+    c1 = (vux * wy + ux * vwy) - (vuy * wx + uy * vwx)
+    c2 = ((aux * wy + ux * awy) - (auy * wx + uy * awx)
+          + 2.0 * (vux * vwy - vuy * vwx))
+    return c, c1, c2, ux * ux + uy * uy + wx * wx + wy * wy
+
+
+# Event pre-test. The quintic Hermite interpolant of C on a step, from the
+# jets at both ends, is sampled at these fractions of the step; row i of
+# _PRETEST_BASIS weights (C, h C', h^2 C'') at the start and then at the
+# end. The fractions hold the probes' offsets 0.25, 0.625 and 0.90625.
+_PRETEST_FRACS = np.r_[np.arange(16) / 16, 0.90625]
+_PRETEST_BASIS = (np.vander(_PRETEST_FRACS, 6, increasing=True)
+                  @ np.linalg.inv([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0],
+                                   [0, 0, 2, 0, 0, 0], [1, 1, 1, 1, 1, 1],
+                                   [0, 1, 2, 3, 4, 5], [0, 0, 2, 6, 12, 20]]))
+# A step is flagged when C, read in the sign of the last probe, comes
+# within the margin _EVENT_MARGIN * max(|C_start|, |C_end|, _C_FLOOR * r2)
+# of zero, or past it, on the quintic or at the step end; r2 is
+# |q1 - q0|^2 + |q2 - q0|^2 at the step end. On the benchmark workloads the
+# quintic stays within 1.1e-6 of the margin of the interpolant's C (the
+# oracle tests bound it by 1e-3), so a cleared step has no probe on the
+# other side of zero. The floor flags every step on which |C| stays below
+# 1e-7 r2, however small C is at both ends.
+_EVENT_MARGIN = 0.1
+_C_FLOOR = 1e-6
+
+
+def _pretest_samples(jet_old, jet_new, h: float) -> tuple[np.ndarray, float]:
+    """(C on the step's quintic at _PRETEST_FRACS, the step's margin)."""
+    c0, d0, s0, _ = jet_old
+    c1, d1, s1, r2 = jet_new
+    hh = h * h
+    samples = _PRETEST_BASIS.dot(np.array([c0, h * d0, hh * s0, c1, h * d1, hh * s1]))
+    return samples, _EVENT_MARGIN * max(abs(c0), abs(c1), _C_FLOOR * r2)
+
+
+def _may_hold_event(jet_old, jet_new, h: float, prev_c: float) -> bool:
+    """Whether a step needs its dense output and probes: C on its quintic
+    or at its end, read in the sign of prev_c, comes within the margin of
+    zero or past it."""
+    samples, margin = _pretest_samples(jet_old, jet_new, h)
+    cs = samples.tolist()
+    cs.append(jet_new[0])
+    return (min(cs) if prev_c > 0.0 else -max(cs)) <= margin
+
+
 def _initial_state(y0) -> np.ndarray:
     """A float64 copy of y0, checked to be one finite flat state."""
     y = np.array(y0, dtype=float)
@@ -305,29 +409,31 @@ def _propagate(y: np.ndarray, spec: PotentialSpec, cfg: IntegratorConfig,
     if rtol < _RTOL_FLOOR:
         warnings.warn(f"rel_tol raised to {_RTOL_FLOOR}", stacklevel=3)
         rtol = _RTOL_FLOOR
+    min_d2 = cfg.min_distance ** 2
+    if _min_pair_dist_sq(y) < min_d2:
+        # ahead of the first RHS call, which may warn at a coincident pair
+        raise TrajectoryFailure("bodies closer than min_distance", 0.0)
     rhs = make_rhs(spec)
 
     # One stage array for the whole run. np.dot on the views K[:s].T sums
     # in the same order as scipy's solver, which uses the same layout.
     K = np.empty((_N_ROWS, 12))
-    KT = [K[:s].T for s in range(_N_ROWS + 1)]
-    step_stages = [(K[s], KT[s], a, c) for s, a, c in _STEP_STAGES]
-    dense_stages = [(K[s], KT[s], a, c) for s, a, c in _DENSE_STAGES]
+    step_stages = [(K[s], K[:s].T, a, c) for s, a, c in _STEP_STAGES]
     k_first, k_end = K[0], K[_N_STAGES]
-    kt_sol, kt_err = KT[_N_STAGES], KT[_N_STAGES + 1]
+    kt_sol, kt_err = K[:_N_STAGES].T, K[:_N_STAGES + 1].T
 
     t = 0.0
     try:
-        k_end[:] = rhs(t, y.tolist())
+        y_list = y.tolist()
+        f_end = rhs(t, y_list)
+        k_end[:] = f_end
         h_abs = _initial_step(rhs, y, k_end, t_bound, max_step, rtol, atol)
-        min_d2 = cfg.min_distance ** 2
-        if _min_pair_dist_sq(y) < min_d2:
-            raise TrajectoryFailure("bodies closer than min_distance", 0.0)
 
         ts = [t]
         interps = []
         prev_t = t
-        prev_c = collinearity(y)
+        jet = _collinearity_jet(y_list, f_end)
+        prev_c = jet[0]
 
         while True:
             min_step = 10 * abs(math.nextafter(t, math.inf) - t)
@@ -349,7 +455,8 @@ def _propagate(y: np.ndarray, spec: PotentialSpec, cfg: IntegratorConfig,
                     row[:] = rhs(t + c * h, (y + np.dot(kt, a) * h).tolist())
                 y_new = y + h * np.dot(kt_sol, _dop.B)
                 y_list = y_new.tolist()
-                k_end[:] = rhs(t + h, y_list)
+                f_end = rhs(t + h, y_list)
+                k_end[:] = f_end
 
                 scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
                 err5 = np.dot(kt_err, _dop.E5) / scale
@@ -375,35 +482,37 @@ def _propagate(y: np.ndarray, spec: PotentialSpec, cfg: IntegratorConfig,
                 rejected = True
 
             t_old, y_old, t, y = t, y, t_new, y_new
-            for row, kt, a, c in dense_stages:
-                row[:] = rhs(t_old + c * h, (y_old + np.dot(kt, a) * h).tolist())
-            F = np.empty((_dop.INTERPOLATOR_POWER, 12))
-            delta_y = y - y_old
-            F[0] = delta_y
-            F[1] = h * k_first - delta_y
-            F[2] = 2 * delta_y - h * (k_end + k_first)
-            F[3:] = h * np.dot(_dop.D, K)
-            interp = _StepInterpolant(t_old, t, y_old, F)
-            interps.append(interp)
             ts.append(t)
-
             if find_collinear:
-                # the four probes in one pass over the six position components
-                probes = _probe_times(prev_t, t)
-                x = (np.array(probes) - t_old) / interp.h
-                q = _dense_sum(F[:, :6], y_old[:6], x[:, None], np.zeros((len(probes), 6)))
-                cs = ((q[:, 2] - q[:, 0]) * (q[:, 5] - q[:, 1])
-                      - (q[:, 3] - q[:, 1]) * (q[:, 4] - q[:, 0])).tolist()
-                for tt, c in zip(probes, cs):
-                    if c == 0.0 or (prev_c > 0.0) != (c > 0.0):
-                        if c == 0.0:
-                            te = tt
-                        else:
-                            te = brentq(lambda s: collinearity(interp(s)),
-                                        prev_t, tt, xtol=1e-13, rtol=8.9e-16)
-                        seg = TrajectorySegment(ts, interps, te)
-                        return seg, te, interp(te)
-                    prev_t, prev_c = tt, c
+                jet_old, jet = jet, _collinearity_jet(y_list, f_end)
+            if find_collinear and not _may_hold_event(jet_old, jet, h, prev_c):
+                # no probe of this step can see a sign change: defer the
+                # dense output, and move the last probe's time and sign on
+                # as the probes would
+                interps.append(_StepInterpolant(
+                    t_old, t, y_old, deferred=(K[:_N_STAGES + 1].copy(), y, rhs)))
+                prev_t, prev_c = _probe_times(prev_t, t)[-1], jet[0]
+            else:
+                F = _dense_output(K, rhs, t_old, y_old, y, h)
+                interp = _StepInterpolant(t_old, t, y_old, F)
+                interps.append(interp)
+                if find_collinear:
+                    # the four probes in one pass over the six position components
+                    probes = _probe_times(prev_t, t)
+                    x = (np.array(probes) - t_old) / interp.h
+                    q = _dense_sum(F[:, :6], y_old[:6], x[:, None], np.zeros((len(probes), 6)))
+                    cs = ((q[:, 2] - q[:, 0]) * (q[:, 5] - q[:, 1])
+                          - (q[:, 3] - q[:, 1]) * (q[:, 4] - q[:, 0])).tolist()
+                    for tt, c in zip(probes, cs):
+                        if c == 0.0 or (prev_c > 0.0) != (c > 0.0):
+                            if c == 0.0:
+                                te = tt
+                            else:
+                                te = brentq(lambda s: collinearity(interp(s)),
+                                            prev_t, tt, xtol=1e-13, rtol=8.9e-16)
+                            seg = TrajectorySegment(ts, interps, te)
+                            return seg, te, interp(te)
+                        prev_t, prev_c = tt, c
 
             if _min_pair_dist_sq(y_list) < min_d2:
                 raise TrajectoryFailure("bodies closer than min_distance", t)

@@ -12,6 +12,8 @@ stamped like every other artifact, and the acceptance test suite runs
 every criterion through the same `run_criterion`.
 """
 
+import contextlib
+import io
 import math
 import os
 import tempfile
@@ -320,10 +322,14 @@ def c01_homogeneous_baseline(ctx, check):
     """Power-law (exponent 6) solution at x0=1 from seed (0.98, 0.23)."""
     from . import cli
 
+    # the command's report names a temporary file: keep it out of the table
+    out = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        code = cli.main(["solve", "--x0", "1.0", "--y0", "0.98", "--v", "0.23",
-                         "--potential", "homogeneous:6", "-o", tmp])
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["solve", "--x0", "1.0", "--y0", "0.98", "--v", "0.23",
+                             "--potential", "homogeneous:6", "-o", tmp])
         check(code == 0, f"cmd_solve exit code {code}")
+        check(out.getvalue().startswith("converged: "), "cmd_solve reports converged")
         if code != 0:
             return
         paths = [p for p in os.listdir(tmp) if p.startswith("solution")]

@@ -312,6 +312,12 @@ class TestReproduceCommand:
         assert {r["criterion"] for r in ran} == {1, 2, 6, 8, 11}
         assert all(r["passed"] for r in ran)
         assert out.count("[PASS]") == len(ran)
+        # criterion 1 runs `fig8 solve` into a temporary directory, whose
+        # report must not reach the criterion table
+        lines = out.splitlines()
+        assert not any(line.startswith("converged: ") for line in lines)
+        assert all(line.startswith(f"wrote {tmp_path}")
+                   for line in lines if line.startswith("wrote "))
         # skipped criteria carry their declared titles too
         skipped = {r["criterion"] for r in report["results"] if r["skipped"]}
         assert skipped == {3, 4, 5, 7, 9, 10}

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import warnings
 from bisect import bisect_right
 
 import numpy as np
@@ -15,11 +16,13 @@ from scipy.optimize import brentq
 import fig8.integrate as fig8_integrate
 from fig8.dynamics import (PotentialSpec, ShootingParams, angular_momentum,
                            isosceles_state, linear_momentum, total_energy)
-from fig8.integrate import (_EVENT_PROBES, EventNotFound, IntegrationError,
-                            IntegratorConfig, StiffnessFailure,
-                            TrajectoryFailure, TrajectorySegment,
-                            _min_pair_dist_sq, _probe_times, collinearity,
-                            integrate, integrate_to_collinear)
+from fig8.integrate import (_EVENT_PROBES, _PRETEST_FRACS, EventNotFound,
+                            IntegrationError, IntegratorConfig,
+                            StiffnessFailure, TrajectoryFailure,
+                            TrajectorySegment, _collinearity_jet, _dense_sum,
+                            _may_hold_event, _min_pair_dist_sq, _probe_times,
+                            _pretest_samples, collinearity, integrate,
+                            integrate_to_collinear)
 from fig8.shooting import STATUS_TRAJECTORY_FAILURE, residuals
 
 LJ = PotentialSpec.lj()
@@ -270,6 +273,16 @@ class TestLaunchStateBoundary:
         with pytest.raises(ValueError, match="collinear"):
             integrate_to_collinear(y, LJ, CFG)
 
+    def test_coincident_launch_fails_before_the_force_law_warns(self):
+        # the distance guard runs ahead of the first RHS call, where the
+        # generic force law would divide zero by zero
+        y = at_rest(0.3, 0.2, 0.3, 0.2, -1.0, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrajectoryFailure) as err:
+                integrate(y, PotentialSpec.morse(2.0, 1.1), 1.0, CFG)
+        assert err.value.t == 0.0
+
 
 class TestEventProbes:
     def test_probe_offsets_within_a_step(self):
@@ -368,11 +381,13 @@ class TestFailures:
 
 # -- bit parity with scipy's DOP853 solver object ----------------------------
 
-def _scipy_propagate(state0, spec, cfg, t_bound, find_collinear):
+def _scipy_propagate(state0, spec, cfg, t_bound, find_collinear, dense_at=None):
     """The stepping driver as it stood on scipy's DOP853 object.
 
     Returns (ts, interpolants, t_end, y_event or None); raises as the
-    driver does.
+    driver does. A list dense_at receives, for every accepted step, the
+    number of RHS calls made before the step's dense output, whose three
+    extra stages come next.
     """
     y0 = np.array(state0, dtype=float)
     solver = DOP853(fig8_integrate.make_rhs(spec), 0.0, y0, t_bound,
@@ -387,6 +402,8 @@ def _scipy_propagate(state0, spec, cfg, t_bound, find_collinear):
         solver.step()
         if solver.status == "failed":
             raise StiffnessFailure("stepper breakdown (step-size underflow)", solver.t)
+        if dense_at is not None:
+            dense_at.append(solver.nfev)
         interp = solver.dense_output()
         interps.append(interp)
         ts.append(solver.t)
@@ -407,27 +424,54 @@ def _scipy_propagate(state0, spec, cfg, t_bound, find_collinear):
     return ts, interps, solver.t, None
 
 
-def _run_counted(monkeypatch, fn, *args):
-    """(result or exception, RHS evaluations) of fn(*args)."""
-    calls = [0]
+def _run_recorded(monkeypatch, fn, *args):
+    """(result or exception, the (t, y) argument of every RHS call) of
+    fn(*args). A right-hand side made during the call keeps recording into
+    the list afterwards, as when a deferred interpolant is built."""
+    calls = []
     make_rhs = fig8_integrate.make_rhs
 
-    def counting(spec):
+    def recording(spec):
         rhs = make_rhs(spec)
 
-        def counted(t, y):
-            calls[0] += 1
+        def recorded(t, y):
+            calls.append((float(t), np.asarray(y, dtype=float).tolist()))
             return rhs(t, y)
 
-        return counted
+        return recorded
 
     with monkeypatch.context() as m:
-        m.setattr(fig8_integrate, "make_rhs", counting)
+        m.setattr(fig8_integrate, "make_rhs", recording)
         try:
             out = fn(*args)
         except Exception as exc:  # compared by type and message
             out = exc
-    return out, calls[0]
+    return out, calls
+
+
+def _run_counted(monkeypatch, fn, *args):
+    """(result or exception, RHS evaluations) of fn(*args)."""
+    out, calls = _run_recorded(monkeypatch, fn, *args)
+    return out, len(calls)
+
+
+def _dropped_dense_triples(ref_calls, dense_at, calls):
+    """Starts, in ref_calls, of the dense-output triples that calls lacks.
+
+    Fails unless calls is ref_calls with whole triples removed, each
+    starting at one of dense_at.
+    """
+    starts = set(dense_at)
+    dropped, i, j = [], 0, 0
+    while i < len(ref_calls):
+        if i in starts and calls[j:j + 3] != ref_calls[i:i + 3]:
+            dropped.append(i)
+            i += 3
+            continue
+        assert j < len(calls) and calls[j] == ref_calls[i], (i, j)
+        i, j = i + 1, j + 1
+    assert j == len(calls)
+    return dropped
 
 
 Y0_AXIS = np.linspace(0.45, 1.3, 200)
@@ -467,20 +511,41 @@ class TestScipyParity:
 
     @pytest.mark.parametrize("case", sorted(COLLINEAR_CASES))
     def test_integrate_to_collinear(self, monkeypatch, case):
+        # scipy's RHS calls, less the three dense-output stages of each step
+        # that the event pre-test clears; building those steps' interpolants
+        # makes exactly the missing calls, and gives scipy's bits
         state0, spec, cfg = COLLINEAR_CASES[case]
-        new, n_new = _run_counted(monkeypatch, integrate_to_collinear, state0, spec, cfg)
-        ref, n_ref = _run_counted(monkeypatch, _scipy_propagate, state0, spec, cfg,
-                                  cfg.t_max, True)
-        assert n_new == n_ref
+        cleared = []
+        may_hold_event = fig8_integrate._may_hold_event
+
+        def spy(*args):
+            flagged = may_hold_event(*args)
+            cleared.append(not flagged)
+            return flagged
+
+        monkeypatch.setattr(fig8_integrate, "_may_hold_event", spy)
+        new, calls = _run_recorded(monkeypatch, integrate_to_collinear, state0, spec, cfg)
+        dense_at = []
+        ref, ref_calls = _run_recorded(monkeypatch, _scipy_propagate, state0, spec, cfg,
+                                       cfg.t_max, True, dense_at)
+        dropped = _dropped_dense_triples(ref_calls, dense_at, calls)
+        assert len(dropped) == sum(cleared) > 0
         assert type(ref) is FAILING_CASES.get(case, tuple)
         if isinstance(ref, Exception):
             _assert_same_failure(new, ref)
             return
         t_f, y_f, seg = new
-        ts, _, te, ye = ref
+        ts, interps, te, ye = ref
         assert seg.ts == ts
         assert t_f == te and seg.t_end == te
         assert y_f.tolist() == ye.tolist()
+        n_run = len(calls)
+        assert len(seg.interpolants) == len(interps)
+        for p, q in zip(seg.interpolants, interps):
+            assert p.F.tolist() == q.F.tolist()
+            assert (p.t_old, p.h, p.y_old.tolist()) == (q.t_old, q.h, q.y_old.tolist())
+        assert calls[n_run:] == [c for i in dropped for c in ref_calls[i:i + 3]]
+        assert len(calls) == len(ref_calls)
         if case == "long-tail":
             assert 97.0 < t_f < 97.5
 
@@ -490,7 +555,12 @@ class TestScipyParity:
         new, n_new = _run_counted(monkeypatch, integrate, state0, spec, t_end, cfg)
         ref, n_ref = _run_counted(monkeypatch, _scipy_propagate, state0, spec, cfg,
                                   t_end, False)
-        assert n_new == n_ref
+        if case == "start-inside-floor":
+            # the distance guard runs before the first RHS call; scipy's
+            # solver makes two (f0 and the initial-step trial) before it
+            assert (n_new, n_ref) == (0, 2)
+        else:
+            assert n_new == n_ref
         assert type(ref) is FAILING_CASES.get(case, tuple)
         if isinstance(ref, Exception):
             _assert_same_failure(new, ref)
@@ -502,3 +572,91 @@ class TestScipyParity:
         # array evaluation of one step's interpolant, as the event probes use it
         step = np.linspace(new.ts[5], new.ts[6], 7)
         assert new.interpolants[5](step).tolist() == ref_seg.interpolants[5](step).tolist()
+
+
+# -- the event pre-test against every step flagged ---------------------------
+
+def _hunt_both_ways(monkeypatch, state0, spec, cfg):
+    """integrate_to_collinear's (t_f, y_f, ts) or failure, with the pre-test
+    and with every step flagged (today's probe path on every step), and the
+    largest gap, over the steps, between C on the pre-test's quintic and C
+    on the step's interpolant, as a fraction of the step's margin."""
+
+    def hunt():
+        try:
+            t_f, y_f, seg = integrate_to_collinear(state0, spec, cfg)
+        except IntegrationError as exc:
+            return type(exc), str(exc), getattr(exc, "t", None)
+        return t_f, y_f.tolist(), seg.ts
+
+    default = hunt()
+    steps = []
+    dense_output = fig8_integrate._dense_output
+
+    def recording(K, rhs, t_old, y_old, y, h):
+        F = dense_output(K, rhs, t_old, y_old, y, h)
+        steps.append((K[0].tolist(), K[fig8_integrate._N_STAGES].tolist(), y_old, y, h, F))
+        return F
+
+    with monkeypatch.context() as m:
+        m.setattr(fig8_integrate, "_EVENT_MARGIN", math.inf)
+        m.setattr(fig8_integrate, "_dense_output", recording)
+        every_step = hunt()
+    worst = 0.0
+    for f_old, f_new, y_old, y, h, F in steps:
+        jet_old = _collinearity_jet(y_old.tolist(), f_old)
+        samples, margin = _pretest_samples(jet_old, _collinearity_jet(y.tolist(), f_new), h)
+        q = _dense_sum(F[:, :6], y_old[:6], _PRETEST_FRACS[:, None],
+                       np.zeros((_PRETEST_FRACS.size, 6)))
+        worst = max(worst, np.abs(samples - collinearity(q.T)).max() / margin)
+    return default, every_step, worst
+
+
+class TestEventPretest:
+    """Dense output only on flagged steps changes no step, event or bit.
+
+    With the margin at infinity every step is flagged, which is the probe
+    path with no pre-test; the default must agree with it exactly, and the
+    quintic must stay far inside the margin of the interpolant's C.
+    """
+
+    GAP = 1e-3  # of the margin; the benchmark workloads reach about 1.1e-6
+
+    @pytest.mark.parametrize("case", sorted(COLLINEAR_CASES))
+    def test_collinear_cases(self, monkeypatch, case):
+        default, every_step, gap = _hunt_both_ways(monkeypatch, *COLLINEAR_CASES[case])
+        assert default == every_step
+        assert gap < self.GAP
+
+    def test_baseline_grid(self, monkeypatch):
+        for y0 in np.linspace(0.45, 1.3, 20):
+            for v in np.linspace(0.05, 0.7, 20):
+                state0 = isosceles_state(ShootingParams(0.75, float(y0), float(v)))
+                default, every_step, gap = _hunt_both_ways(monkeypatch, state0, LJ, CFG)
+                assert default == every_step, (y0, v)
+                assert gap < self.GAP, (y0, v)
+
+    @settings(max_examples=100, deadline=None)
+    @given(x0=st.floats(0.6, 1.5), y0=st.floats(0.45, 1.3), v=st.floats(0.05, 0.7),
+           spec=st.sampled_from([LJ, H6]))
+    def test_in_window_launches(self, x0, y0, v, spec):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            default, every_step, gap = _hunt_both_ways(
+                monkeypatch, isosceles_state(ShootingParams(x0, y0, v)), spec, CFG)
+        assert default == every_step
+        assert gap < self.GAP
+
+    def test_floor_flags_a_step_whose_c_stays_tiny(self):
+        # margin = 0.1 max(|C_start|, |C_end|, 1e-6 r2): a flat C below
+        # 1e-7 r2 is flagged, one above it is not
+        r2 = 3.0
+        for c, flagged in ((0.99e-7 * r2, True), (1.01e-7 * r2, False)):
+            jet = (c, 0.0, 0.0, r2)
+            assert _may_hold_event(jet, jet, 0.1, 1.0) is flagged
+            assert _may_hold_event(jet, jet, 0.1, -1.0)
+
+    def test_flags_a_dip_between_the_step_ends(self):
+        # C = 1 at both ends, falling at the start and rising at the end
+        start, end = (1.0, -10.0, 0.0, 3.0), (1.0, 10.0, 0.0, 3.0)
+        assert _may_hold_event(start, end, 1.0, 1.0)
+        assert not _may_hold_event(start, end, 0.01, 1.0)
