@@ -6,15 +6,19 @@ by a secant predictor in start-normalized coordinates. The predicted
 point lies on the arclength hyperplane, and the corrector drives both
 shooting residuals to zero within that hyperplane with the damped Newton
 of `shooting.solve_on_plane`. Folds are recorded where the x0 step
-changes sign; distinguished points (energy zero/maximum, period minimum,
-smallest x0) are refined afterwards by 1-D root finding or golden-section
-over arclength with a full corrector re-convergence at every probe.
+changes sign. Distinguished points (energy zero and maximum, period
+minimum, smallest x0) are refined afterwards over the series' arclength,
+by Brent's root finder or Brent's bounded minimizer. Every probe is a
+full corrector re-convergence on the hyperplane normal to its segment,
+started from the quadratic through the three nearest converged points,
+so that it needs about one Newton iteration.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq, minimize_scalar
 
 from .artifacts import write_csv
 from .dynamics import PotentialSpec
@@ -151,30 +155,43 @@ def continue_family(start: SolutionRecord, spec: PotentialSpec,
     return series
 
 
-def _probe(series: ContinuationSeries, spec: PotentialSpec, cfg: IntegratorConfig,
-           us: np.ndarray, seg: int, tau: float):
-    """Re-converged solution on the hyperplane through the interpolated point."""
-    u_a, u_b = us[seg], us[seg + 1]
-    tangent = u_b - u_a
-    tangent = tangent / np.linalg.norm(tangent)
-    u_base = u_a + tau * (u_b - u_a)
-    u, s, _ = solve_on_plane(series.scale, u_base, _normal_plane(tangent), spec,
-                             cfg, series.tol, _CORRECTOR_MAX_ITER)
-    return u, s
-
-
 def _arc_params(us: np.ndarray):
     """Cumulative arclength of the normalized polyline."""
     seglen = np.linalg.norm(np.diff(us, axis=0), axis=1)
     return np.concatenate([[0.0], np.cumsum(seglen)])
 
 
-def _probe_at_s(series, spec, cfg, us, S, s):
-    s = min(max(s, 0.0), S[-1])
-    seg = int(np.searchsorted(S, s, side="right") - 1)
-    seg = min(max(seg, 0), len(us) - 2)
-    tau = (s - S[seg]) / (S[seg + 1] - S[seg])
-    return _probe(series, spec, cfg, us, seg, tau)
+def _curve_probe(series: ContinuationSeries, spec: PotentialSpec,
+                 cfg: IntegratorConfig):
+    """(probe, S, probed): S the series points' arclength along the
+    polyline, probe(s) the family point at arclength s as a record, and
+    probed every record probe made, by s.
+
+    The point lies on the hyperplane normal to its segment through the
+    polyline point at s. Its corrector starts from the quadratic in s
+    through the three converged points nearest s (series points and
+    earlier probes), projected onto that hyperplane.
+    """
+    us = series.u_coords()
+    S = _arc_params(us)
+    known = dict(zip(S.tolist(), us))
+    probed = {}
+
+    def probe(s: float) -> SolutionRecord:
+        seg = min(max(int(np.searchsorted(S, s, side="right")) - 1, 0), len(us) - 2)
+        tangent = (us[seg + 1] - us[seg]) / (S[seg + 1] - S[seg])
+        u_chord = us[seg] + (s - S[seg]) * tangent
+        near = sorted(known, key=lambda r: abs(r - s))[:3]
+        guess = sum(known[r] * math.prod((s - q) / (r - q) for q in near if q != r)
+                    for r in near)
+        guess -= ((guess - u_chord) @ tangent) * tangent
+        u, smp, _ = solve_on_plane(series.scale, guess, _normal_plane(tangent), spec,
+                                   cfg, series.tol, _CORRECTOR_MAX_ITER)
+        known[s] = u
+        probed[s] = SolutionRecord.from_sample(smp, spec, series.label)
+        return probed[s]
+
+    return probe, S, probed
 
 
 def locate_special(series: ContinuationSeries, kind: str,
@@ -184,75 +201,40 @@ def locate_special(series: ContinuationSeries, kind: str,
     """Refine a distinguished point along the series.
 
     kind "E-zero" needs a sign change of the energy between consecutive
-    points; "T-min", "E-max" and "x0-min" need an interior discrete
-    extremum. The refined record is returned and appended to the series'
-    special_points.
+    points, refined by Brent's root finder on that segment. "T-min",
+    "E-max" and "x0-min" need an interior discrete extremum, refined by
+    Brent's bounded minimizer (parabolic steps, golden-section fallback)
+    over the two segments around it; the best point probed is returned.
+    Both work over the polyline's normalized arclength s and stop once
+    the bracket in s is below s_tol times the polyline length (times 1
+    for shorter polylines). Each probe is a full corrector re-convergence
+    on the hyperplane normal to its segment at s, started from the curve
+    through the nearest converged points. The refined record is returned
+    and appended to the series' special_points.
     """
     if kind not in SPECIAL_KINDS:
         raise ValueError(f"unknown special point kind {kind!r}")
     if len(series.points) < 3:
         raise SpecialPointNotFound("series too short")
-    spec = spec or series.points[0].potential
-    us = series.u_coords()
-    S = _arc_params(us)
+    probe, S, probed = _curve_probe(series, spec or series.points[0].potential, cfg)
+    xtol = s_tol * max(S[-1], 1.0)
 
     if kind == "E-zero":
-        E = np.array([p.E for p in series.points])
-        idx = None
-        for k in range(len(E) - 1):
-            if E[k] == 0.0 or (E[k] > 0.0) != (E[k + 1] > 0.0):
-                idx = k
-                break
+        E = [p.E for p in series.points]
+        idx = next((k for k in range(len(E) - 1)
+                    if E[k] == 0.0 or (E[k] > 0.0) != (E[k + 1] > 0.0)), None)
         if idx is None:
             raise SpecialPointNotFound("energy does not change sign along the series")
-        from scipy.optimize import brentq
-
-        cache = {}
-
-        def E_at(s):
-            _, smp = _probe_at_s(series, spec, cfg, us, S, s)
-            cache[s] = smp
-            return smp.E
-
-        s_root = brentq(E_at, S[idx], S[idx + 1], xtol=s_tol * max(S[-1], 1.0))
-        smp = cache.get(s_root) or _probe_at_s(series, spec, cfg, us, S, s_root)[1]
-        rec = SolutionRecord.from_sample(smp, spec, series.label)
-        series.special_points.append((kind, rec))
-        return rec
-
-    values = {
-        "T-min": np.array([p.T for p in series.points]),
-        "E-max": np.array([-p.E for p in series.points]),
-        "x0-min": np.array([p.params.x0 for p in series.points]),
-    }[kind]
-    k = int(np.argmin(values))
-    if k == 0 or k == len(values) - 1:
-        raise SpecialPointNotFound(f"{kind} not bracketed by interior points")
-
-    def value_at(s):
-        _, smp = _probe_at_s(series, spec, cfg, us, S, s)
-        if kind == "T-min":
-            return 12.0 * smp.t_f, smp
-        if kind == "E-max":
-            return -smp.E, smp
-        return smp.params.x0, smp
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = S[k - 1], S[k + 1]
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, smp_c = value_at(c)
-    fd, smp_d = value_at(d)
-    while b - a > s_tol * max(S[-1], 1.0):
-        if fc < fd:
-            b, d, fd, smp_d = d, c, fc, smp_c
-            c = b - invphi * (b - a)
-            fc, smp_c = value_at(c)
-        else:
-            a, c, fc, smp_c = c, d, fd, smp_d
-            d = a + invphi * (b - a)
-            fd, smp_d = value_at(d)
-    smp = smp_c if fc < fd else smp_d
-    rec = SolutionRecord.from_sample(smp, spec, series.label)
+        s_root = brentq(lambda s: probe(s).E, S[idx], S[idx + 1], xtol=xtol)
+        rec = probed.get(s_root) or probe(s_root)
+    else:
+        value = {"T-min": lambda r: r.T, "E-max": lambda r: -r.E,
+                 "x0-min": lambda r: r.params.x0}[kind]
+        k = int(np.argmin([value(p) for p in series.points]))
+        if k == 0 or k == len(series.points) - 1:
+            raise SpecialPointNotFound(f"{kind} not bracketed by interior points")
+        minimize_scalar(lambda s: value(probe(s)), bounds=(S[k - 1], S[k + 1]),
+                        method="bounded", options={"xatol": xtol})
+        rec = min(probed.values(), key=value)
     series.special_points.append((kind, rec))
     return rec

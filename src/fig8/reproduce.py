@@ -457,7 +457,7 @@ def c08_energy_extrema(ctx, check):
     ext = configuration_energy_extrema(LJ)
     check(abs(ext.isosceles_min + 0.75) <= 1e-9,
           f"isosceles minimum {ext.isosceles_min:.12f} = -3/4")
-    # golden-section oracle over the collinear configuration energy
+    # Brent's bounded minimizer as the numeric oracle for the collinear minimum
     from scipy.optimize import minimize_scalar
 
     f = lambda r: 2.0 * pair_potential(r, LJ) + pair_potential(2.0 * r, LJ)

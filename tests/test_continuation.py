@@ -1,13 +1,19 @@
 """Family tracing through folds and refinement of distinguished points."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+import fig8.shooting
 from fig8.dynamics import PotentialSpec, ShootingParams
 from fig8.integrate import IntegratorConfig
-from fig8.shooting import SolverError, newton_solve, residuals, solve_on_plane
+from fig8.shooting import (SolutionRecord, SolverError, newton_solve, residuals,
+                           solve_on_plane)
 from fig8.continuation import (ContinuationError, SpecialPointNotFound,
-                               _normal_plane, continue_family, locate_special)
+                               SPECIAL_KINDS, _arc_params, _normal_plane,
+                               continue_family, locate_special)
 
 LJ = PotentialSpec.lj()
 H6 = PotentialSpec.homogeneous(6)
@@ -30,6 +36,14 @@ def series_down(alpha_record):
 def series_up(alpha_record):
     return continue_family(alpha_record, LJ, CFG, step=0.02, n_steps=60,
                            direction=1, x0_limits=(0.7, 1.55), label="alpha")
+
+
+@pytest.fixture(scope="module")
+def series_gamma():
+    """The third family from near its published zero-energy point, across E = 0."""
+    start = newton_solve(ShootingParams(0.68, 0.893818, 0.188131), LJ, CFG)
+    return continue_family(start, LJ, CFG, step=0.01, n_steps=8, direction=-1,
+                           label="gamma")
 
 
 def solve_on_series_at(series, x0_target, branch_filter=None, tol=1e-10):
@@ -106,8 +120,6 @@ class TestContinueFamily:
             assert abs(float((u - us[k]) @ t) - h) <= 1e-12
 
     def test_bad_start_rejected(self):
-        from fig8.shooting import SolutionRecord
-
         fake = SolutionRecord(params=ShootingParams(0.75, 0.9, 0.2), T=10.0,
                               E=0.0, residual_norm=1e-12, potential=LJ)
         with pytest.raises(ContinuationError):
@@ -161,6 +173,89 @@ class TestLocateSpecial:
     def test_unknown_kind_rejected(self, series_down):
         with pytest.raises(ValueError):
             locate_special(series_down, "widest-lobe", CFG)
+
+
+def _chord_probe(series, us, S, s):
+    """Corrector re-convergence at arclength s, started on the chord."""
+    seg = min(max(int(np.searchsorted(S, s, side="right")) - 1, 0), len(us) - 2)
+    u_a, u_b = us[seg], us[seg + 1]
+    tau = (s - S[seg]) / (S[seg + 1] - S[seg])
+    _, smp, _ = solve_on_plane(series.scale, u_a + tau * (u_b - u_a),
+                               _normal_plane((u_b - u_a) / np.linalg.norm(u_b - u_a)),
+                               LJ, CFG, series.tol, 10)
+    return SolutionRecord.from_sample(smp, LJ)
+
+
+def golden_section_oracle(series, kind, s_tol=1e-6):
+    """The refinement by plain golden-section search (brentq for E-zero)
+    over arclength, every probe started on the chord: slow but simple."""
+    us = series.u_coords()
+    S = _arc_params(us)
+    xtol = s_tol * max(S[-1], 1.0)
+    if kind == "E-zero":
+        E = [p.E for p in series.points]
+        k = next(k for k in range(len(E) - 1) if (E[k] > 0.0) != (E[k + 1] > 0.0))
+        s_root = brentq(lambda s: _chord_probe(series, us, S, s).E, S[k], S[k + 1],
+                        xtol=xtol)
+        return _chord_probe(series, us, S, s_root)
+    value = {"T-min": lambda r: r.T, "E-max": lambda r: -r.E,
+             "x0-min": lambda r: r.params.x0}[kind]
+    k = int(np.argmin([value(p) for p in series.points]))
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = S[k - 1], S[k + 1]
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    rec_c, rec_d = _chord_probe(series, us, S, c), _chord_probe(series, us, S, d)
+    while b - a > xtol:
+        if value(rec_c) < value(rec_d):
+            b, d, rec_d = d, c, rec_c
+            c = b - invphi * (b - a)
+            rec_c = _chord_probe(series, us, S, c)
+        else:
+            a, c, rec_c = c, d, rec_d
+            d = a + invphi * (b - a)
+            rec_d = _chord_probe(series, us, S, d)
+    return rec_c if value(rec_c) < value(rec_d) else rec_d
+
+
+class TestSpecialPointSearch:
+    """Brent over arclength with warm-started probes, against the oracle."""
+
+    SERIES = {"x0-min": "series_down", "E-max": "series_down",
+              "T-min": "series_down", "E-zero": "series_gamma"}
+    # residual evaluations measured per refinement (the golden-section
+    # oracle makes 257, 270, 257 and 30), plus a 25% margin
+    BUDGET = {"x0-min": 42, "E-max": 52, "T-min": 42, "E-zero": 15}
+    MARGIN = 1.25
+
+    @pytest.fixture(scope="class")
+    def refined(self, request):
+        return {kind: locate_special(request.getfixturevalue(name), kind, CFG)
+                for kind, name in self.SERIES.items()}
+
+    @pytest.mark.parametrize("kind", SPECIAL_KINDS)
+    def test_matches_golden_section_oracle(self, request, refined, kind):
+        oracle = golden_section_oracle(request.getfixturevalue(self.SERIES[kind]), kind)
+        rec = refined[kind]
+        extremised = {"x0-min": lambda r: r.params.x0, "E-max": lambda r: r.E,
+                      "T-min": lambda r: r.T, "E-zero": lambda r: r.E}[kind]
+        assert abs(extremised(rec) - extremised(oracle)) <= 1e-9
+        for got, want in zip(rec.params, oracle.params):
+            assert abs(got - want) <= 1e-6
+
+    def test_no_worse_than_the_series(self, series_down, refined):
+        pts = series_down.points
+        assert refined["x0-min"].params.x0 <= min(p.params.x0 for p in pts) + 1e-9
+        assert refined["E-max"].E >= max(p.E for p in pts) - 1e-12
+        assert refined["T-min"].T <= min(p.T for p in pts) + 1e-9
+
+    @pytest.mark.parametrize("kind", SPECIAL_KINDS)
+    def test_integration_budget(self, request, monkeypatch, kind):
+        series = request.getfixturevalue(self.SERIES[kind])
+        calls = []
+        monkeypatch.setattr(fig8.shooting, "residuals",
+                            lambda *a: calls.append(a) or residuals(*a))
+        locate_special(series, kind, CFG)
+        assert len(calls) <= self.MARGIN * self.BUDGET[kind]
 
 
 class TestSeriesExport:

@@ -660,3 +660,37 @@ class TestEventPretest:
         start, end = (1.0, -10.0, 0.0, 3.0), (1.0, 10.0, 0.0, 3.0)
         assert _may_hold_event(start, end, 1.0, 1.0)
         assert not _may_hold_event(start, end, 0.01, 1.0)
+
+
+# -- the probe gaps against C sampled densely on every step ------------------
+
+class TestProbeGaps:
+    """The four probes per step see the first sign change of C.
+
+    C is sampled at 65 points of every event-hunt step's interpolant. The
+    first sampled sign change must lie in the step the event is reported
+    in, bracketing the event time, so no probe gap hides an earlier one.
+    The cells are lattice points of the default 200x200 scan at x0 = 0.75:
+    its long-tail block (v < V_AXIS[40], t_f up to about 150) and one
+    smooth column.
+    """
+
+    ROWS = (25, 65, 105, 145, 185)
+    COLS = (5, 15, 25, 35, 120)
+    DENSE = 65
+
+    @pytest.mark.parametrize("i", ROWS)
+    def test_first_dense_sign_change_is_the_event(self, i):
+        for j in self.COLS:
+            state0 = isosceles_state(ShootingParams(0.75, float(Y0_AXIS[i]),
+                                                    float(V_AXIS[j])))
+            t_f, _, seg = integrate_to_collinear(state0, LJ, CFG)
+            positive = collinearity(state0) > 0.0
+            for k, interp in enumerate(seg.interpolants):
+                ts = np.linspace(interp.t_old, interp.t_old + interp.h, self.DENSE)
+                c = collinearity(interp(ts))
+                flips = np.nonzero((c == 0.0) | ((c > 0.0) != positive))[0]
+                if flips.size:
+                    break
+            assert k == len(seg.interpolants) - 1, (i, j, k)
+            assert ts[flips[0] - 1] <= t_f <= ts[flips[0]], (i, j)

@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fig8.dynamics import PotentialSpec, ShootingParams
 from fig8.integrate import IntegrationError, IntegratorConfig
 from fig8.shooting import (STATUS_OK, STATUS_TRAJECTORY_FAILURE, ContourGrid,
-                           NewtonDivergence, ResidualSample, SolverError,
+                           NewtonDivergence, ResidualSample,
+                           SingularJacobian, SolverError,
                            energy_in_published_range, find_seeds, newton_solve,
                            record_from_params, residuals, scan_grid,
                            solution_record_from_json, solution_record_json,
@@ -245,6 +248,26 @@ class TestNewtonSolve:
         with pytest.raises(SolverError):
             newton_solve(ShootingParams(0.726, 0.766265, 0.302694), LJ, CFG,
                          tol=1e-12, max_iter=8)
+
+    # max_iter 5 bounds an example's cost; whether a seed converges or
+    # diverges, the outcome keeps its type and carries the seed's x0
+    @settings(max_examples=20, deadline=None)
+    @given(x0=st.floats(0.6, 1.5), y0=st.floats(0.45, 1.3), v=st.floats(0.05, 0.7))
+    def test_in_window_seeds_converge_or_raise_with_parameters(self, x0, y0, v):
+        try:
+            rec = newton_solve(ShootingParams(x0, y0, v), LJ, CFG, max_iter=5)
+        except NewtonDivergence as exc:
+            assert exc.best_norm > 1e-10
+            carried = exc.best_params
+        except SingularJacobian as exc:
+            carried = exc.params
+        except IntegrationError as exc:
+            carried = exc.params
+        else:
+            assert rec.residual_norm <= 1e-10
+            carried = rec.params
+        assert isinstance(carried, ShootingParams)
+        assert carried.x0 == x0
 
 
 class TestSolveOnPlane:
