@@ -205,10 +205,10 @@ def integrate_full_orbit(state0, spec: PotentialSpec,
     return FullOrbit(T=T, t=t, q=q, p=p)
 
 
-def verify_choreography(orbit: FullOrbit, tol: float = 1e-6) -> float:
+def verify_choreography(orbit: FullOrbit) -> float:
     """Sup-norm residual of q_{i+1}(t) = q_i(t + T/3) over the samples.
 
-    Returns the residual; callers compare against tol.
+    Returns the residual; the caller picks the tolerance to compare it with.
     """
     n = orbit.n_samples
     if n % 3 != 0:

@@ -215,13 +215,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--potential", help="lj | lj:b,a | homogeneous:a | "
-                       "morse:a,r0 | buckingham | screened_coulomb:a")
+        p.add_argument("--potential", help="lj | lj:b,a | homogeneous:a")
         p.add_argument("-o", "--out", help="output directory")
-        p.add_argument("--jobs", type=int, help="parallel workers")
 
     p = sub.add_parser("scan", help="residual grid over a (y0, v) rectangle")
     common(p)
+    p.add_argument("--jobs", type=int, help="parallel workers")
     p.add_argument("--x0", type=float, required=True)
     p.add_argument("--y0-min", type=float)
     p.add_argument("--y0-max", type=float)
@@ -262,6 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run the published-value checks")
     common(p)
+    p.add_argument("--jobs", type=int, help="parallel workers")
     p.add_argument("--quick", action="store_true",
                    help="fast subset (seconds)")
     p.set_defaults(func=cmd_reproduce)

@@ -37,6 +37,8 @@ __all__ = [
 
 SPECIAL_KINDS = ("E-zero", "T-min", "E-max", "x0-min")
 _CORRECTOR_MAX_ITER = 10
+_STEP_MAX_FACTOR = 8.0  # cap on the arclength step, in nominal steps
+_S_TOL = 1e-6  # special-point bracket in s, relative to the polyline length
 
 
 class ContinuationError(SolverError):
@@ -84,13 +86,13 @@ def _normal_plane(tangent: np.ndarray) -> np.ndarray:
 def continue_family(start: SolutionRecord, spec: PotentialSpec,
                     cfg: IntegratorConfig, step: float = 0.01,
                     n_steps: int = 500, direction: int = 1,
-                    tol: float = 1e-10, step_max_factor: float = 8.0,
+                    tol: float = 1e-10,
                     x0_limits: tuple[float, float] | None = None,
                     label: str | None = None) -> ContinuationSeries:
     """Trace the family through `start` by pseudo-arclength continuation.
 
     direction fixes the sign of the initial x0 motion. The step adapts:
-    halved when the corrector fails, grown 1.3x (up to step_max_factor
+    halved when the corrector fails, grown 1.3x (up to _STEP_MAX_FACTOR
     times the nominal step) after corrector successes in three or fewer
     iterations. Stops after n_steps points, at x0_limits, or with a
     recorded truncation reason when the corrector cannot proceed.
@@ -147,7 +149,7 @@ def continue_family(start: SolutionRecord, spec: PotentialSpec,
             break
         tangent = delta / norm
         if its <= 3:
-            h = min(h * 1.3, step * step_max_factor)
+            h = min(h * 1.3, step * _STEP_MAX_FACTOR)
         x0_now = us[-1][0] * scale[0]
         if x0_limits is not None and not (x0_limits[0] <= x0_now <= x0_limits[1]):
             series.truncation_reason = f"reached x0 limit at {x0_now:.6g}"
@@ -161,8 +163,7 @@ def _arc_params(us: np.ndarray):
     return np.concatenate([[0.0], np.cumsum(seglen)])
 
 
-def _curve_probe(series: ContinuationSeries, spec: PotentialSpec,
-                 cfg: IntegratorConfig):
+def _curve_probe(series: ContinuationSeries, cfg: IntegratorConfig):
     """(probe, S, probed): S the series points' arclength along the
     polyline, probe(s) the family point at arclength s as a record, and
     probed every record probe made, by s.
@@ -170,8 +171,10 @@ def _curve_probe(series: ContinuationSeries, spec: PotentialSpec,
     The point lies on the hyperplane normal to its segment through the
     polyline point at s. Its corrector starts from the quadratic in s
     through the three converged points nearest s (series points and
-    earlier probes), projected onto that hyperplane.
+    earlier probes), projected onto that hyperplane. The corrector runs
+    under the series' own potential.
     """
+    spec = series.points[0].potential
     us = series.u_coords()
     S = _arc_params(us)
     known = dict(zip(S.tolist(), us))
@@ -195,9 +198,7 @@ def _curve_probe(series: ContinuationSeries, spec: PotentialSpec,
 
 
 def locate_special(series: ContinuationSeries, kind: str,
-                   cfg: IntegratorConfig,
-                   spec: PotentialSpec | None = None,
-                   s_tol: float = 1e-6) -> SolutionRecord:
+                   cfg: IntegratorConfig) -> SolutionRecord:
     """Refine a distinguished point along the series.
 
     kind "E-zero" needs a sign change of the energy between consecutive
@@ -206,7 +207,7 @@ def locate_special(series: ContinuationSeries, kind: str,
     Brent's bounded minimizer (parabolic steps, golden-section fallback)
     over the two segments around it; the best point probed is returned.
     Both work over the polyline's normalized arclength s and stop once
-    the bracket in s is below s_tol times the polyline length (times 1
+    the bracket in s is below _S_TOL times the polyline length (times 1
     for shorter polylines). Each probe is a full corrector re-convergence
     on the hyperplane normal to its segment at s, started from the curve
     through the nearest converged points. The refined record is returned
@@ -216,8 +217,8 @@ def locate_special(series: ContinuationSeries, kind: str,
         raise ValueError(f"unknown special point kind {kind!r}")
     if len(series.points) < 3:
         raise SpecialPointNotFound("series too short")
-    probe, S, probed = _curve_probe(series, spec or series.points[0].potential, cfg)
-    xtol = s_tol * max(S[-1], 1.0)
+    probe, S, probed = _curve_probe(series, cfg)
+    xtol = _S_TOL * max(S[-1], 1.0)
 
     if kind == "E-zero":
         E = [p.E for p in series.points]

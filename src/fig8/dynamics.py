@@ -30,31 +30,28 @@ __all__ = [
 ]
 
 
-_KINDS = ("lj", "homogeneous", "morse", "buckingham", "screened_coulomb")
+_KINDS = ("lj", "homogeneous")
 
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Pair potential u(r) selecting one of several standard families.
+    """Pair potential u(r), one of the two power-law families the paper
+    compares.
 
-    kind "lj":               u(r) = r^-b - r^-a        (default b=12, a=6)
-    kind "homogeneous":      u(r) = -r^-a
-    kind "morse":            u(r) = (1 - exp(-a (r - r0)))^2
-    kind "buckingham":       u(r) = exp(-r) - r^-6
-    kind "screened_coulomb": u(r) = -exp(-a r) / r
+    kind "lj":          u(r) = r^-b - r^-a        (default b=12, a=6)
+    kind "homogeneous": u(r) = -r^-a
 
-    Only the "lj" and "homogeneous" families carry quantitative targets;
-    the others are provided as formula plug-ins.
+    Any other kind is rejected with a ValueError naming these two.
     """
 
     kind: str = "lj"
     a: float | None = 6.0
     b: float | None = 12.0
-    r0: float | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown potential kind {self.kind!r}")
+            raise ValueError(f"unknown potential kind {self.kind!r}; "
+                             f"the kinds are {', '.join(_KINDS)}")
         if self.kind == "lj":
             if self.a is None or self.b is None or self.a <= 0 or self.b <= 0:
                 raise ValueError("lj potential needs positive exponents b, a")
@@ -65,12 +62,8 @@ class PotentialSpec:
                 rm = 2.0 ** (1.0 / 6.0)
                 if abs(self.u(rm) + 0.25) > 1e-12 or abs(self.u(1.0)) > 1e-12:
                     raise AssertionError("lj(12,6) well identities violated")
-        elif self.kind in ("homogeneous", "screened_coulomb"):
-            if self.a is None or self.a <= 0:
-                raise ValueError(f"{self.kind} potential needs positive exponent a")
-        elif self.kind == "morse":
-            if self.a is None or self.a <= 0 or self.r0 is None or self.r0 <= 0:
-                raise ValueError("morse potential needs positive a and r0")
+        elif self.a is None or self.a <= 0:
+            raise ValueError(f"{self.kind} potential needs positive exponent a")
 
     # -- constructors -------------------------------------------------
 
@@ -82,44 +75,18 @@ class PotentialSpec:
     def homogeneous(cls, a: float) -> "PotentialSpec":
         return cls(kind="homogeneous", a=a, b=None)
 
-    @classmethod
-    def morse(cls, a: float, r0: float) -> "PotentialSpec":
-        return cls(kind="morse", a=a, b=None, r0=r0)
-
-    @classmethod
-    def buckingham(cls) -> "PotentialSpec":
-        return cls(kind="buckingham", a=None, b=None)
-
-    @classmethod
-    def screened_coulomb(cls, a: float) -> "PotentialSpec":
-        return cls(kind="screened_coulomb", a=a, b=None)
-
     # -- the potential and its radial derivative ----------------------
 
     def u(self, r: float) -> float:
         if self.kind == "lj":
             return r ** -self.b - r ** -self.a
-        if self.kind == "homogeneous":
-            return -(r ** -self.a)
-        if self.kind == "morse":
-            return (1.0 - math.exp(-self.a * (r - self.r0))) ** 2
-        if self.kind == "buckingham":
-            return math.exp(-r) - r ** -6.0
-        return -math.exp(-self.a * r) / r
+        return -(r ** -self.a)
 
     def du(self, r):
         """Radial derivative u'(r), for a float or a numpy array r."""
         if self.kind == "lj":
             return -self.b * r ** (-self.b - 1.0) + self.a * r ** (-self.a - 1.0)
-        if self.kind == "homogeneous":
-            return self.a * r ** (-self.a - 1.0)
-        if self.kind == "morse":
-            e = np.exp(-self.a * (r - self.r0))
-            return 2.0 * self.a * e * (1.0 - e)
-        if self.kind == "buckingham":
-            return -np.exp(-r) + 6.0 * r ** -7.0
-        e = np.exp(-self.a * r)
-        return e * (self.a * r + 1.0) / (r * r)
+        return self.a * r ** (-self.a - 1.0)
 
     # -- derived constants ---------------------------------------------
 
@@ -128,21 +95,6 @@ class PotentialSpec:
         """Location of the potential minimum, None when u is unbounded below."""
         if self.kind == "lj":
             return (self.b / self.a) ** (1.0 / (self.b - self.a))
-        if self.kind == "morse":
-            return self.r0
-        return None
-
-    @property
-    def r_zero(self) -> float | None:
-        """Smallest positive zero of u, None when u never vanishes."""
-        if self.kind == "lj":
-            return 1.0
-        if self.kind == "morse":
-            return self.r0
-        if self.kind == "buckingham":
-            from scipy.optimize import brentq
-
-            return float(brentq(self.u, 1.0, 2.0, xtol=1e-14))
         return None
 
     # -- JSON wire format ----------------------------------------------
@@ -150,13 +102,7 @@ class PotentialSpec:
     def to_json_dict(self) -> dict:
         if self.kind == "lj":
             return {"kind": "lj", "b": self.b, "a": self.a}
-        if self.kind == "homogeneous":
-            return {"kind": "homogeneous", "a": self.a}
-        if self.kind == "morse":
-            return {"kind": "morse", "a": self.a, "r0": self.r0}
-        if self.kind == "buckingham":
-            return {"kind": "buckingham"}
-        return {"kind": "screened_coulomb", "a": self.a}
+        return {"kind": "homogeneous", "a": self.a}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PotentialSpec":
@@ -165,13 +111,7 @@ class PotentialSpec:
             return cls.lj(b=float(d["b"]), a=float(d["a"]))
         if kind == "homogeneous":
             return cls.homogeneous(float(d["a"]))
-        if kind == "morse":
-            return cls.morse(float(d["a"]), float(d["r0"]))
-        if kind == "buckingham":
-            return cls.buckingham()
-        if kind == "screened_coulomb":
-            return cls.screened_coulomb(float(d["a"]))
-        raise ValueError(f"unknown potential kind {kind!r}")
+        return cls(kind=kind)  # rejected by __post_init__, naming the kinds
 
 
 @dataclass(frozen=True)

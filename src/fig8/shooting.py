@@ -171,7 +171,7 @@ def scan_grid(x0: float, y0_range: tuple[float, float], v_range: tuple[float, fl
     return ContourGrid(x0=x0, y0_axis=y0_axis, v_axis=v_axis, samples=samples)
 
 
-def _bilinear_zero_intersection(pc, dc):
+def _bilinear_root(pc, dc):
     """Intersection of the two bilinear zero curves on the unit cell.
 
     pc, dc are corner values ordered (00, 10, 01, 11) in (xi, eta).
@@ -222,7 +222,7 @@ def find_seeds(grid: ContourGrid) -> list[ShootingParams]:
             dc = [s.D for s in cell]
             if not (min(pc) < 0.0 < max(pc) and min(dc) < 0.0 < max(dc)):
                 continue
-            hit = _bilinear_zero_intersection(pc, dc)
+            hit = _bilinear_root(pc, dc)
             xi, eta = hit if hit is not None else (0.5, 0.5)
             y0 = grid.y0_axis[i] + xi * (grid.y0_axis[i + 1] - grid.y0_axis[i])
             v = grid.v_axis[j] + eta * (grid.v_axis[j + 1] - grid.v_axis[j])
@@ -265,11 +265,12 @@ class SolutionRecord:
 # published total-energy window for lj(12,6) solutions, used as a sanity
 # flag only (euler-line potential minimum up to the observed maximum)
 _E_RANGE_LJ126 = (-5547.0 / 10924.0, 0.295542)
+_E_RANGE_SLACK = 1e-3
 
 
-def energy_in_published_range(E: float, slack: float = 1e-3) -> bool:
+def energy_in_published_range(E: float) -> bool:
     lo, hi = _E_RANGE_LJ126
-    return lo - slack <= E <= hi + slack
+    return lo - _E_RANGE_SLACK <= E <= hi + _E_RANGE_SLACK
 
 
 class SolverError(Exception):

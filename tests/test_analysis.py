@@ -374,8 +374,6 @@ class TestCurvature:
 
     @pytest.mark.parametrize("spec", [
         LJ, H6, PotentialSpec.lj(10, 4), PotentialSpec.homogeneous(4),
-        PotentialSpec.morse(2.0, 1.1), PotentialSpec.buckingham(),
-        PotentialSpec.screened_coulomb(1.5),
     ], ids=lambda s: s.kind)
     def test_matches_per_sample_oracle(self, spec):
         # a breathing, rotating triangle with arbitrary velocities; body 0

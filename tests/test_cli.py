@@ -52,8 +52,6 @@ class TestConfig:
         assert parse_potential("lj") == PotentialSpec.lj()
         assert parse_potential("lj:10,4") == PotentialSpec.lj(10, 4)
         assert parse_potential("homogeneous:6") == PotentialSpec.homogeneous(6)
-        assert parse_potential("morse:2,1.1") == PotentialSpec.morse(2, 1.1)
-        assert parse_potential("buckingham") == PotentialSpec.buckingham()
         with pytest.raises(ConfigError):
             parse_potential("coulomb")
         with pytest.raises(ConfigError):
@@ -108,6 +106,16 @@ class TestSolve:
         code = run_cli("solve", "--x0", 1, "--y0", 1, "--v", 1,
                        "--potential", "nope", "-o", tmp_path)
         assert code == 5
+
+    @pytest.mark.parametrize("command", ["solve", "continue", "analyze"])
+    def test_jobs_flag_rejected(self, command):
+        # only scan and reproduce run workers; elsewhere --jobs would be
+        # stamped into the outputs without having been used
+        args = (["--x0", 1, "--y0", 1, "--v", 1] if command == "solve"
+                else ["record.json"])
+        with pytest.raises(SystemExit) as err:
+            run_cli(command, *args, "--jobs", 2)
+        assert err.value.code == 2
 
     def test_unwritable_output_exits_4(self, tmp_path):
         blocker = tmp_path / "not_a_dir"
@@ -299,6 +307,28 @@ class TestContinueAndAnalyze:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"T": 20.4, "E": -0.3}))
         assert run_cli(command, bad, "-o", tmp_path / "out") == 5
+        assert not (tmp_path / "out").exists()
+
+
+class TestRemovedPotentialKinds:
+    @pytest.mark.parametrize("route", ["flag", "config", "record"])
+    def test_exits_5_naming_the_kinds(self, route, alpha_record_file, tmp_path,
+                                      capsys):
+        if route == "flag":
+            args = ["solve", "--x0", 1, "--y0", 1, "--v", 1,
+                    "--potential", "morse:2,1.1"]
+        elif route == "config":
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"potential": {"kind": "buckingham"}}))
+            args = ["solve", "--x0", 1, "--y0", 1, "--v", 1, "--config", path]
+        else:
+            path = tmp_path / "record.json"
+            record = json.loads(alpha_record_file.read_text())
+            record["potential"] = {"kind": "screened_coulomb", "a": 1.5}
+            path.write_text(json.dumps(record))
+            args = ["analyze", path]
+        assert run_cli(*args, "-o", tmp_path / "out") == 5
+        assert "the kinds are lj, homogeneous" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

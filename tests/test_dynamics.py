@@ -26,7 +26,6 @@ def fd_dudr(r, spec, h=1e-6):
 class TestPotentialSpec:
     def test_lj_well_constants(self):
         assert LJ.r_min == pytest.approx(R_MIN, abs=1e-15)
-        assert LJ.r_zero == 1.0
         assert pair_potential(R_MIN, LJ) == pytest.approx(-0.25, abs=1e-15)
 
     def test_lj_zero_at_one(self):
@@ -55,28 +54,16 @@ class TestPotentialSpec:
 
     @pytest.mark.parametrize("spec", [
         PotentialSpec.lj(10, 4),
-        PotentialSpec.morse(2.0, 1.1),
-        PotentialSpec.buckingham(),
-        PotentialSpec.screened_coulomb(1.5),
+        PotentialSpec.homogeneous(4),
+        LJ,
+        H6,
     ])
     def test_alternative_families_force_consistent(self, spec):
         for r in (0.9, 1.3, 2.2):
             assert spec.du(r) == pytest.approx(fd_dudr(r, spec), rel=1e-5)
 
-    def test_morse_well_location(self):
-        spec = PotentialSpec.morse(2.0, 1.3)
-        assert spec.r_min == 1.3
-        assert spec.u(1.3) == 0.0
-
-    def test_buckingham_zero_crossing(self):
-        spec = PotentialSpec.buckingham()
-        rz = spec.r_zero
-        assert spec.u(rz) == pytest.approx(0.0, abs=1e-12)
-        assert spec.r_min is None
-
     def test_json_round_trip(self):
-        for spec in (LJ, H6, PotentialSpec.lj(10, 4), PotentialSpec.morse(2, 1.1),
-                     PotentialSpec.buckingham(), PotentialSpec.screened_coulomb(0.7)):
+        for spec in (LJ, H6, PotentialSpec.lj(10, 4), PotentialSpec.homogeneous(4)):
             again = PotentialSpec.from_json_dict(spec.to_json_dict())
             assert again == spec
 
@@ -144,8 +131,8 @@ class TestAccelerations:
         biggest = norms(a).max()
         assert norms(total) <= 1e-12 * biggest
 
-    @pytest.mark.parametrize("spec", [LJ, H6, PotentialSpec.morse(2.0, 1.1)],
-                             ids=lambda s: s.kind)
+    @pytest.mark.parametrize("spec", [LJ, H6, PotentialSpec.lj(10, 4)],
+                             ids=["lj", "homogeneous", "lj_10_4"])
     def test_rows_of_the_rhs_on_states_and_arrays(self, spec):
         rng = np.random.default_rng(7)
         y = rng.uniform(-0.6, 0.6, (12, 5))

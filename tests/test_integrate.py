@@ -154,9 +154,7 @@ class TestSegment:
 
 
 # every potential family; the first two use the closed forms of the force table
-ALL_KINDS = [LJ, H6, PotentialSpec.lj(10, 4), PotentialSpec.homogeneous(4),
-             PotentialSpec.morse(2.0, 1.1), PotentialSpec.buckingham(),
-             PotentialSpec.screened_coulomb(1.5)]
+ALL_KINDS = [LJ, H6, PotentialSpec.lj(10, 4), PotentialSpec.homogeneous(4)]
 
 
 class TestRhsOnArrays:
@@ -246,7 +244,7 @@ def launch_vectors(draw):
 
 class TestLaunchStateBoundary:
     @settings(max_examples=200, deadline=None)
-    @given(y0=launch_vectors(), spec=st.sampled_from([LJ, H6, PotentialSpec.morse(2.0, 1.1)]))
+    @given(y0=launch_vectors(), spec=st.sampled_from([LJ, H6, PotentialSpec.lj(10, 4)]))
     def test_any_vector_returns_or_raises_a_declared_error(self, y0, spec):
         cfg = IntegratorConfig(t_max=0.5)
         malformed = y0.shape != (12,) or not np.isfinite(y0).all()
@@ -280,7 +278,7 @@ class TestLaunchStateBoundary:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TrajectoryFailure) as err:
-                integrate(y, PotentialSpec.morse(2.0, 1.1), 1.0, CFG)
+                integrate(y, PotentialSpec.lj(10, 4), 1.0, CFG)
         assert err.value.t == 0.0
 
 
