@@ -16,7 +16,7 @@ from . import __version__
 from .artifacts import (comment_lines, json_text, read_record, stamp,
                         write_json)
 from .config import ConfigError, RunConfig, load_config, parse_potential
-from .dynamics import ShootingParams
+from .dynamics import ShootingParams, UnknownPotentialKind
 from .integrate import IntegrationError
 from .shooting import (NewtonDivergence, SolverError, energy_in_published_range,
                        find_seeds, newton_solve, scan_grid,
@@ -58,10 +58,14 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 def _load_record(args):
     """The solution record of args.record (a record JSON or an orbit CSV) and
-    the run config with the record's potential. A file without a record, or
-    a --potential or --config naming another potential, is a ConfigError."""
+    the run config with the record's potential. A file without a record, a
+    record naming an unknown potential kind, or a --potential or --config
+    naming another potential, is a ConfigError."""
     try:
         record = solution_record_from_json(read_record(args.record))
+    except UnknownPotentialKind as exc:
+        raise ConfigError(f"{args.record} names potential kind {exc.kind!r}; "
+                          f"the kinds are {', '.join(exc.kinds)}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{args.record} is not a solution record: {exc!r}") from exc
     cfg = _resolve_config(args)

@@ -5,7 +5,10 @@ in x0, so x0 cannot serve as the continuation parameter. Points advance
 by a secant predictor in start-normalized coordinates. The predicted
 point lies on the arclength hyperplane, and the corrector drives both
 shooting residuals to zero within that hyperplane with the damped Newton
-of `shooting.solve_on_plane`. Folds are recorded where the x0 step
+of `shooting.solve_on_plane`. Each corrector starts from the previous
+point's converged (secant-updated) Jacobian and gives up after a
+two-trial line search, so that a missed basin costs a halved step
+rather than a long backtrack. Folds are recorded where the x0 step
 changes sign. Distinguished points (energy zero and maximum, period
 minimum, smallest x0) are refined afterwards over the series' arclength,
 by Brent's root finder or Brent's bounded minimizer. Every probe is a
@@ -37,6 +40,8 @@ __all__ = [
 
 SPECIAL_KINDS = ("E-zero", "T-min", "E-max", "x0-min")
 _CORRECTOR_MAX_ITER = 10
+_CORRECTOR_TRIALS = 2  # line-search trials before the step is halved instead
+_GROW_MAX_ITER = 5  # corrector iterations at most for the step to grow
 _STEP_MAX_FACTOR = 8.0  # cap on the arclength step, in nominal steps
 _S_TOL = 1e-6  # special-point bracket in s, relative to the polyline length
 
@@ -91,11 +96,17 @@ def continue_family(start: SolutionRecord, spec: PotentialSpec,
                     label: str | None = None) -> ContinuationSeries:
     """Trace the family through `start` by pseudo-arclength continuation.
 
-    direction fixes the sign of the initial x0 motion. The step adapts:
-    halved when the corrector fails, grown 1.3x (up to _STEP_MAX_FACTOR
-    times the nominal step) after corrector successes in three or fewer
-    iterations. Stops after n_steps points, at x0_limits, or with a
-    recorded truncation reason when the corrector cannot proceed.
+    direction fixes the sign of the initial x0 motion. The residual
+    Jacobian is carried along the family: the forward-difference one of
+    the initial tangent seeds the first corrector, and each corrector's
+    converged Jacobian seeds the next (after a failed corrector, the last
+    converged one is reused). The corrector's line search stops after
+    _CORRECTOR_TRIALS (two) trials. The step adapts: halved when the
+    corrector fails, grown 1.3x (up to _STEP_MAX_FACTOR times the
+    nominal step) after corrector successes in _GROW_MAX_ITER (five) or
+    fewer iterations, secant steps counted. Stops after n_steps points,
+    at x0_limits, or with a recorded truncation reason when the
+    corrector cannot proceed.
     """
     if direction not in (-1, 1):
         raise ValueError("direction must be +1 or -1")
@@ -127,14 +138,16 @@ def continue_family(start: SolutionRecord, spec: PotentialSpec,
         # u_pred lies on the arclength hyperplane {(u - u_prev).tangent = h};
         # the corrector stays on it
         try:
-            u_new, s_new, its = solve_on_plane(scale, u_pred, _normal_plane(tangent),
-                                               spec, cfg, tol, _CORRECTOR_MAX_ITER)
+            u_new, s_new, its, J_new = solve_on_plane(
+                scale, u_pred, _normal_plane(tangent), spec, cfg, tol,
+                _CORRECTOR_MAX_ITER, jacobian=J, trials=_CORRECTOR_TRIALS)
         except (SolverError, IntegrationError) as exc:
             h *= 0.5
             if h < step * 2.0 ** -14:
                 series.truncation_reason = f"step underflow: {exc}"
                 break
             continue
+        J = J_new
         us.append(u_new.copy())
         series.points.append(SolutionRecord.from_sample(s_new, spec, label))
         if len(us) >= 3:
@@ -148,7 +161,7 @@ def continue_family(start: SolutionRecord, spec: PotentialSpec,
             series.truncation_reason = "corrector returned the anchor point"
             break
         tangent = delta / norm
-        if its <= 3:
+        if its <= _GROW_MAX_ITER:
             h = min(h * 1.3, step * _STEP_MAX_FACTOR)
         x0_now = us[-1][0] * scale[0]
         if x0_limits is not None and not (x0_limits[0] <= x0_now <= x0_limits[1]):
@@ -188,8 +201,8 @@ def _curve_probe(series: ContinuationSeries, cfg: IntegratorConfig):
         guess = sum(known[r] * math.prod((s - q) / (r - q) for q in near if q != r)
                     for r in near)
         guess -= ((guess - u_chord) @ tangent) * tangent
-        u, smp, _ = solve_on_plane(series.scale, guess, _normal_plane(tangent), spec,
-                                   cfg, series.tol, _CORRECTOR_MAX_ITER)
+        u, smp, _, _ = solve_on_plane(series.scale, guess, _normal_plane(tangent),
+                                      spec, cfg, series.tol, _CORRECTOR_MAX_ITER)
         known[s] = u
         probed[s] = SolutionRecord.from_sample(smp, spec, series.label)
         return probed[s]

@@ -15,6 +15,7 @@ import numpy as np
 
 __all__ = [
     "PotentialSpec",
+    "UnknownPotentialKind",
     "ShootingParams",
     "pair_potential",
     "pair_force",
@@ -33,6 +34,16 @@ __all__ = [
 _KINDS = ("lj", "homogeneous")
 
 
+class UnknownPotentialKind(ValueError):
+    """A potential kind outside _KINDS; `kind` is the rejected name."""
+
+    def __init__(self, kind):
+        super().__init__(f"unknown potential kind {kind!r}; "
+                         f"the kinds are {', '.join(_KINDS)}")
+        self.kind = kind
+        self.kinds = _KINDS
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     """Pair potential u(r), one of the two power-law families the paper
@@ -41,7 +52,8 @@ class PotentialSpec:
     kind "lj":          u(r) = r^-b - r^-a        (default b=12, a=6)
     kind "homogeneous": u(r) = -r^-a
 
-    Any other kind is rejected with a ValueError naming these two.
+    Any other kind is rejected with UnknownPotentialKind, a ValueError
+    naming these two.
     """
 
     kind: str = "lj"
@@ -50,8 +62,7 @@ class PotentialSpec:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown potential kind {self.kind!r}; "
-                             f"the kinds are {', '.join(_KINDS)}")
+            raise UnknownPotentialKind(self.kind)
         if self.kind == "lj":
             if self.a is None or self.b is None or self.a <= 0 or self.b <= 0:
                 raise ValueError("lj potential needs positive exponents b, a")

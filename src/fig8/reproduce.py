@@ -422,8 +422,8 @@ def c05_published_branch_points(ctx, check):
         worst = max(worst, abs(rec.params.y0 - y0), abs(rec.params.v - v))
     check.note(f"companion: 17 of 18 triples refine onto the family "
                f"within {worst:.1e} of their printed 6-digit values")
-    _, s, _ = solve_on_plane(np.array(beta_fold), np.ones(3), FIXED_Y0, LJ,
-                             ctx.cfg, tol=1e-10, max_iter=25)
+    _, s, _, _ = solve_on_plane(np.array(beta_fold), np.ones(3), FIXED_Y0, LJ,
+                                ctx.cfg, tol=1e-10, max_iter=25)
     x0_f, v_f = s.params.x0, s.params.v
     dist = max(abs(x0_f - beta_fold[0]), abs(v_f - beta_fold[2]))
     check.note(f"companion: the smallest-x0 point of the second "

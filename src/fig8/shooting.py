@@ -5,6 +5,11 @@ A trajectory launched from the isosceles configuration is a figure-eight
 choreography exactly when, at its first collinear instant, the two outer
 bodies move in parallel (residual P) and sit symmetrically about the
 inner one (residual D). Both residuals vanish together at a solution.
+
+The Newton keeps its Jacobian up to date by good-Broyden secant updates
+and pays for forward differences (two integrations) only when a secant
+step stops contracting; a caller may hand it the Jacobian of a nearby
+solve to start from.
 """
 
 import math
@@ -299,6 +304,8 @@ _FD_REL_STEP = 1e-6
 _FD_ABS_FLOOR = 1e-8
 # trial steps of the backtracking line search, halving from the full step
 _LINE_SEARCH_TRIALS = 12
+# a secant step is accepted when it shrinks |F| at least this much
+_BROYDEN_CONTRACTION = 0.25
 
 # solve planes in start-scaled coordinates u = (x0, y0, v) / start
 _FIXED_X0 = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -321,6 +328,15 @@ def _sample_at(u: np.ndarray, scale: np.ndarray, spec: PotentialSpec,
     return s
 
 
+def _trial_at(u: np.ndarray, scale: np.ndarray, spec: PotentialSpec,
+              cfg: IntegratorConfig) -> ResidualSample | None:
+    """`_sample_at`, None where it raises IntegrationError."""
+    try:
+        return _sample_at(u, scale, spec, cfg)
+    except IntegrationError:
+        return None
+
+
 def _pair(s: ResidualSample) -> np.ndarray:
     return np.array([s.P_norm, s.D_norm])
 
@@ -339,48 +355,89 @@ def fd_jacobian(u: np.ndarray, sample: ResidualSample, directions: np.ndarray,
     return J
 
 
+def _refresh(J: np.ndarray, u: np.ndarray, sample: ResidualSample,
+             directions: np.ndarray, scale: np.ndarray, spec: PotentialSpec,
+             cfg: IntegratorConfig) -> np.ndarray:
+    """J with its in-plane part replaced by forward differences at u; the
+    rows of `directions` are orthonormal, so J D^T becomes J_fd."""
+    J_fd = fd_jacobian(u, sample, directions, scale, spec, cfg)
+    return J + (J_fd - J @ directions.T) @ directions
+
+
+def _plane_step(J: np.ndarray, directions: np.ndarray,
+                sample: ResidualSample) -> np.ndarray | None:
+    """Newton step in u of the in-plane system J D^T, None when singular."""
+    A = J @ directions.T
+    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+    if abs(det) < 1e-14 * max(abs(A).max(), 1e-300) ** 2:
+        return None
+    return np.linalg.solve(A, -_pair(sample)) @ directions
+
+
 def solve_on_plane(scale: np.ndarray, u0: np.ndarray, directions: np.ndarray,
                    spec: PotentialSpec, cfg: IntegratorConfig, tol: float,
-                   max_iter: int) -> tuple[np.ndarray, ResidualSample, int]:
-    """Damped Newton on (P_norm, D_norm) over the plane u0 + span(directions).
+                   max_iter: int, jacobian: np.ndarray | None = None,
+                   trials: int = _LINE_SEARCH_TRIALS
+                   ) -> tuple[np.ndarray, ResidualSample, int, np.ndarray]:
+    """Damped Newton on (P_norm, D_norm) over the plane u0 + span(directions),
+    with good-Broyden updates of the Jacobian.
 
     u are start-scaled coordinates, the parameters being u * scale;
-    `directions` holds two rows. Forward-difference Jacobian along them,
-    backtracking halving line search on |F|, converged when |F| <= tol.
-    Returns (u, sample, iterations). Raises IntegrationError when u0 or a
-    Jacobian probe does not integrate, SingularJacobian when the 2x2
-    system degenerates and NewtonDivergence, carrying the best iterate,
-    when the line search stalls or max_iter is exhausted.
+    `directions` holds two orthonormal rows D. The Jacobian J is 2x3 in u
+    (`jacobian` when given, e.g. carried from a neighbouring solve) and
+    takes a rank-one secant update after every accepted step. It is
+    refreshed by forward differences along D, which replaces its
+    in-plane part J D^T, only on the first iteration when no `jacobian`
+    is given, when a full step of the updated J fails to shrink |F| by
+    _BROYDEN_CONTRACTION, and when the updated J is singular in the
+    plane. A rejected secant step costs one integration; the iteration
+    then refreshes J at the same u and runs a backtracking halving line
+    search on |F| of at most `trials` trials. Converged when |F| <= tol.
+    Returns (u, sample, iterations, J).
+
+    Raises IntegrationError when u0 or a Jacobian probe does not
+    integrate. SingularJacobian (the 2x2 system degenerates) and
+    NewtonDivergence carrying the best iterate (the line search stalls)
+    are raised only with a freshly refreshed J; NewtonDivergence also
+    when max_iter iterations, secant steps included, are exhausted.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     u = np.asarray(u0, dtype=float)
     cur = _sample_at(u, scale, spec, cfg)
+    J = np.zeros((2, len(u))) if jacobian is None else np.array(jacobian, dtype=float)
     # every accepted step lowers |F|, so the current iterate is the best
     for iteration in range(max_iter):
         fnorm = cur.norm
         if fnorm <= tol:
-            return u, cur, iteration
-        J = fd_jacobian(u, cur, directions, scale, spec, cfg)
-        det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-        if abs(det) < 1e-14 * max(abs(J).max(), 1e-300) ** 2:
-            raise SingularJacobian(cur.params)
-        step = np.linalg.solve(J, -_pair(cur)) @ directions
+            return u, cur, iteration, J
+        fresh = jacobian is None and iteration == 0
+        if fresh:
+            J = _refresh(J, u, cur, directions, scale, spec, cfg)
+        step = _plane_step(J, directions, cur)
+        trial = None
+        if not fresh and step is not None:
+            trial = _trial_at(u + step, scale, spec, cfg)
         lam = 1.0
-        for _ in range(_LINE_SEARCH_TRIALS):
-            try:
-                trial = _sample_at(u + lam * step, scale, spec, cfg)
-            except IntegrationError:
-                trial = None
-            if trial is not None and trial.norm < fnorm:
-                break
-            lam *= 0.5
-        else:
-            raise NewtonDivergence("line search stalled", cur.params, fnorm,
-                                   iteration)
-        u, cur = u + lam * step, trial
+        if trial is None or trial.norm > _BROYDEN_CONTRACTION * fnorm:
+            if not fresh:
+                J = _refresh(J, u, cur, directions, scale, spec, cfg)
+                step = _plane_step(J, directions, cur)
+            if step is None:
+                raise SingularJacobian(cur.params)
+            for _ in range(trials):
+                trial = _trial_at(u + lam * step, scale, spec, cfg)
+                if trial is not None and trial.norm < fnorm:
+                    break
+                lam *= 0.5
+            else:
+                raise NewtonDivergence("line search stalled", cur.params, fnorm,
+                                       iteration)
+        s = lam * step
+        J = J + np.outer(_pair(trial) - _pair(cur) - J @ s, s) / (s @ s)
+        u, cur = u + s, trial
     if cur.norm <= tol:
-        return u, cur, max_iter
+        return u, cur, max_iter, J
     raise NewtonDivergence("no convergence", cur.params, cur.norm, max_iter)
 
 
@@ -394,8 +451,8 @@ def newton_solve(seed: ShootingParams, spec: PotentialSpec, cfg: IntegratorConfi
     A failed trajectory at an iterate raises IntegrationError carrying the
     iterate in `params`.
     """
-    _, s, _ = solve_on_plane(np.array([seed.x0, seed.y0, seed.v]), np.ones(3),
-                             _FIXED_X0, spec, cfg, tol, max_iter)
+    _, s, _, _ = solve_on_plane(np.array([seed.x0, seed.y0, seed.v]), np.ones(3),
+                                _FIXED_X0, spec, cfg, tol, max_iter)
     return SolutionRecord.from_sample(s, spec)
 
 

@@ -57,11 +57,11 @@ def test_traced_solve_run_ends_in_a_strict_json_result():
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert sorted({m["name"] for m in declared} - metrics.keys()) == []
     # a refactor that reshapes a hooked function changes these counts
-    assert metrics["integrate.calls"] == 136
-    assert metrics["integrate.steps"] == 7641
+    assert metrics["integrate.calls"] == 101
+    assert metrics["integrate.steps"] == 5553
     # scipy's count less the dense-output stages of the steps the event
     # pre-test clears and no orbit assembly builds later
-    assert metrics["integrate.rhs_evals"] == 120197
+    assert metrics["integrate.rhs_evals"] == 88846
     assert metrics["analysis.collision_intervals"] == 258
-    assert metrics["dynamics.total_energy.calls"] == 935
+    assert metrics["dynamics.total_energy.calls"] == 900
     assert metrics["dynamics.accelerations.calls"] == 17

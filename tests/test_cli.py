@@ -328,7 +328,13 @@ class TestRemovedPotentialKinds:
             path.write_text(json.dumps(record))
             args = ["analyze", path]
         assert run_cli(*args, "-o", tmp_path / "out") == 5
-        assert "the kinds are lj, homogeneous" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "the kinds are lj, homogeneous" in err
+        if route == "record":
+            # the file is a record; its potential kind is what is wrong
+            assert (f"{path} names potential kind 'screened_coulomb'; "
+                    "the kinds are lj, homogeneous") in err
+            assert "is not a solution record" not in err
         assert not (tmp_path / "out").exists()
 
 

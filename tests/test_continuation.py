@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import fig8.continuation
 import fig8.shooting
 from fig8.dynamics import PotentialSpec, ShootingParams
-from fig8.integrate import IntegratorConfig
+from fig8.integrate import IntegrationError, IntegratorConfig
 from fig8.shooting import (SolutionRecord, SolverError, newton_solve, residuals,
                            solve_on_plane)
 from fig8.continuation import (ContinuationError, SpecialPointNotFound,
@@ -114,7 +115,7 @@ class TestContinueFamily:
         for k in range(3):
             t = us[k + 1] - us[k]
             t /= np.linalg.norm(t)
-            u, s, _ = solve_on_plane(series_up.scale, us[k] + h * t,
+            u, s, _, _ = solve_on_plane(series_up.scale, us[k] + h * t,
                                      _normal_plane(t), LJ, CFG, series_up.tol, 10)
             assert s.norm <= series_up.tol
             assert abs(float((u - us[k]) @ t) - h) <= 1e-12
@@ -139,6 +140,57 @@ class TestContinueFamily:
                                                                   abs=1e-4)
                 assert p.params.v * p.params.x0 ** 3 == pytest.approx(0.234675,
                                                                       abs=1e-4)
+
+
+class TestCorrectorCost:
+    """Integrations of the benchmark's alpha path: 12 steps of 0.015 down
+    from the published first crossing, through the fold."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+
+        def count(*args):
+            calls.append(args)
+            return residuals(*args)
+
+        monkeypatch.setattr(fig8.shooting, "residuals", count)
+        monkeypatch.setattr(fig8.continuation, "residuals", count)
+        return calls
+
+    @pytest.fixture(scope="class")
+    def start(self):
+        return newton_solve(ShootingParams(0.75, 0.725966, 0.522742), LJ, CFG)
+
+    def alpha_path(self, start):
+        return continue_family(start, LJ, CFG, step=0.015, n_steps=12,
+                               direction=-1, label="alpha")
+
+    def test_alpha_path_budget(self, start, counted):
+        series = self.alpha_path(start)
+        # measured 100 (211 with a forward-difference Jacobian per iteration)
+        assert len(counted) <= 160
+        assert len(series.points) == 13 and series.truncation_reason is None
+        assert series.fold_points
+        for kind in ("x0-min", "E-max", "T-min"):
+            locate_special(series, kind, CFG)  # raises when not bracketed
+
+    def test_failed_corrector_cost(self, start, counted, monkeypatch):
+        costs = []
+        solve = fig8.continuation.solve_on_plane
+
+        def logged(*args, **kwargs):
+            n = len(counted)
+            try:
+                return solve(*args, **kwargs)
+            except (SolverError, IntegrationError):
+                costs.append(len(counted) - n)
+                raise
+
+        monkeypatch.setattr(fig8.continuation, "solve_on_plane", logged)
+        self.alpha_path(start)
+        # the start, a rejected secant step, the refresh and two trials
+        assert costs and max(costs) <= 6
 
 
 class TestLocateSpecial:
@@ -180,9 +232,9 @@ def _chord_probe(series, us, S, s):
     seg = min(max(int(np.searchsorted(S, s, side="right")) - 1, 0), len(us) - 2)
     u_a, u_b = us[seg], us[seg + 1]
     tau = (s - S[seg]) / (S[seg + 1] - S[seg])
-    _, smp, _ = solve_on_plane(series.scale, u_a + tau * (u_b - u_a),
-                               _normal_plane((u_b - u_a) / np.linalg.norm(u_b - u_a)),
-                               LJ, CFG, series.tol, 10)
+    _, smp, _, _ = solve_on_plane(series.scale, u_a + tau * (u_b - u_a),
+                                  _normal_plane((u_b - u_a) / np.linalg.norm(u_b - u_a)),
+                                  LJ, CFG, series.tol, 10)
     return SolutionRecord.from_sample(smp, LJ)
 
 

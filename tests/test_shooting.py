@@ -1,20 +1,24 @@
 """Residual evaluation, grid scanning, seed detection, and the Newton solve."""
 
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fig8.shooting
+from fig8.analysis import collision_count
 from fig8.dynamics import PotentialSpec, ShootingParams
 from fig8.integrate import IntegrationError, IntegratorConfig
 from fig8.shooting import (STATUS_OK, STATUS_TRAJECTORY_FAILURE, ContourGrid,
                            NewtonDivergence, ResidualSample,
-                           SingularJacobian, SolverError,
-                           energy_in_published_range, find_seeds, newton_solve,
-                           record_from_params, residuals, scan_grid,
+                           SingularJacobian, SolutionRecord, SolverError,
+                           energy_in_published_range, fd_jacobian, find_seeds,
+                           newton_solve, record_from_params, residuals, scan_grid,
                            solution_record_from_json, solution_record_json,
                            solve_on_plane)
 
@@ -23,6 +27,48 @@ H6 = PotentialSpec.homogeneous(6)
 CFG = IntegratorConfig()
 
 ALPHA = ShootingParams(0.75, 0.725966, 0.522742)
+
+
+def _load_published():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "published.py"
+    spec = importlib.util.spec_from_file_location("perfbench_published", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+PUBLISHED_TRIPLES = [ShootingParams(float(x0), float(y0), float(v))
+                     for _, x0, y0, v, _ in _load_published().TRIPLES]
+
+
+def fd_newton_oracle(seed, spec, cfg, tol=1e-10, max_iter=50):
+    """The fixed-x0 damped Newton with a fresh forward-difference Jacobian
+    at every iteration and a 12-trial halving line search: slow but simple."""
+    scale = np.array([seed.x0, seed.y0, seed.v])
+    directions = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+    def sample(u):
+        s = residuals(ShootingParams(*(u * scale)), spec, cfg)
+        return s if s.ok else None
+
+    u = np.ones(3)
+    cur = sample(u)
+    for _ in range(max_iter):
+        fnorm = cur.norm
+        if fnorm <= tol:
+            return SolutionRecord.from_sample(cur, spec)
+        J = fd_jacobian(u, cur, directions, scale, spec, cfg)
+        step = np.linalg.solve(J, -np.array([cur.P_norm, cur.D_norm])) @ directions
+        lam = 1.0
+        for _ in range(12):
+            trial = sample(u + lam * step)
+            if trial is not None and trial.norm < fnorm:
+                break
+            lam *= 0.5
+        else:
+            raise AssertionError(f"oracle line search stalled at {cur.params}")
+        u, cur = u + lam * step, trial
+    raise AssertionError(f"oracle did not converge from {seed}")
 
 
 class TestResiduals:
@@ -270,11 +316,50 @@ class TestNewtonSolve:
         assert carried.x0 == x0
 
 
+class TestBroydenNewton:
+    """The secant-updated Newton against the forward-difference one."""
+
+    def test_published_alpha_solve_cost(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fig8.shooting, "residuals",
+                            lambda *a: calls.append(a) or residuals(*a))
+        rec = newton_solve(ALPHA, LJ, CFG)
+        assert rec.residual_norm <= 1e-10
+        assert len(calls) <= 5
+
+    @pytest.mark.parametrize("seed", PUBLISHED_TRIPLES,
+                             ids=lambda p: f"{p.x0}-{p.y0}-{p.v}")
+    def test_matches_forward_difference_oracle(self, seed):
+        rec = newton_solve(seed, LJ, CFG)
+        oracle = fd_newton_oracle(seed, LJ, CFG)
+        assert rec.params.x0 == oracle.params.x0
+        assert abs(rec.params.y0 - oracle.params.y0) <= 1e-11
+        assert abs(rec.params.v - oracle.params.v) <= 1e-11
+        assert collision_count(rec, CFG) == collision_count(oracle, CFG)
+
+    def test_carried_jacobian_is_returned_and_reused(self, monkeypatch):
+        # a converged solve's Jacobian lets a nearby solve skip the refresh
+        scale = np.array([ALPHA.x0, ALPHA.y0, ALPHA.v])
+        plane = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        u, _, _, J = solve_on_plane(scale, np.ones(3), plane, LJ, CFG, 1e-10, 50)
+        assert J.shape == (2, 3)
+        calls = []
+        monkeypatch.setattr(fig8.shooting, "residuals",
+                            lambda *a: calls.append(a) or residuals(*a))
+        start = u + np.array([0.0, 1e-5, -1e-5])
+        u2, s2, its, _ = solve_on_plane(scale, start, plane, LJ, CFG, 1e-10, 50,
+                                        jacobian=J)
+        assert s2.norm <= 1e-10
+        # the start and one accepted secant step per iteration, no refresh
+        assert len(calls) == 1 + its
+        assert np.allclose(u2, u, atol=1e-9)
+
+
 class TestSolveOnPlane:
     def test_fixed_y0_solve_at_the_beta_fold(self):
         # where the fixed-x0 solve degenerates, Newton in (x0, v) converges
         beta = np.array([0.726, 0.766265, 0.302694])
-        u, s, _ = solve_on_plane(
+        u, s, _, _ = solve_on_plane(
             beta, np.ones(3), np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
             LJ, CFG, tol=1e-10, max_iter=25)
         assert s.norm <= 1e-10
