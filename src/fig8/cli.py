@@ -38,8 +38,9 @@ def _resolve_config(args) -> RunConfig:
     overrides = {}
     if getattr(args, "potential", None):
         overrides["potential"] = parse_potential(args.potential)
-    if getattr(args, "jobs", None) is not None:
-        overrides["jobs"] = args.jobs
+    # a subcommand without --jobs runs no workers, so its outputs carry
+    # the default, whatever the config file says
+    overrides["jobs"] = getattr(args, "jobs", RunConfig.jobs)
     if getattr(args, "out", None):
         overrides["out_dir"] = args.out
     return cfg.override(**overrides)

@@ -9,22 +9,31 @@ of `shooting.solve_on_plane`. Each corrector starts from the previous
 point's converged (secant-updated) Jacobian and gives up after a
 two-trial line search, so that a missed basin costs a halved step
 rather than a long backtrack. Folds are recorded where the x0 step
-changes sign. Distinguished points (energy zero and maximum, period
-minimum, smallest x0) are refined afterwards over the series' arclength,
-by Brent's root finder or Brent's bounded minimizer. Every probe is a
-full corrector re-convergence on the hyperplane normal to its segment,
-started from the quadratic through the three nearest converged points,
-so that it needs about one Newton iteration.
+changes sign. Each point's converged Jacobian stays on the series.
+
+Distinguished points (energy zero and maximum, period minimum, smallest
+x0) are refined afterwards over the series' arclength, by Brent's root
+finder or Brent's minimizer started from the bracket the series' own
+points form. Every probe is a full corrector re-convergence on the
+hyperplane normal to its segment, started from the quadratic through
+the three nearest converged points and from the Jacobian of the nearest
+one, so that it needs about one Newton iteration. The series keeps one
+probe cache that every search on it shares: the series points and every
+converged probe, by arclength, so a search re-probes neither the series
+points it brackets nor the points earlier searches converged. The cache
+holds while the series' points, label and tolerance and the integrator
+configuration stay the same; any change starts a fresh one.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .artifacts import write_csv
-from .dynamics import PotentialSpec
+from .dynamics import PotentialSpec, ShootingParams
 from .integrate import IntegrationError, IntegratorConfig
 from .shooting import (SolutionRecord, SolverError, fd_jacobian,
                        residuals, solve_on_plane)
@@ -55,6 +64,22 @@ class SpecialPointNotFound(SolverError):
 
 
 @dataclass
+class _ProbeCache:
+    """Converged points along a series' polyline, for `_curve_probe`.
+
+    `known` maps arclength s to (u, record, J): the series points (J from
+    the series' Jacobians, or None) and every converged probe. Valid only
+    for `key`, the series' points, label and tolerance and the integrator
+    configuration it was built with.
+    """
+
+    key: tuple
+    us: np.ndarray
+    S: list[float]
+    known: dict[float, tuple[np.ndarray, SolutionRecord, np.ndarray | None]]
+
+
+@dataclass
 class ContinuationSeries:
     """An ordered family of converged solutions with fold bookkeeping."""
 
@@ -64,6 +89,12 @@ class ContinuationSeries:
     special_points: list[tuple[str, SolutionRecord]] = field(default_factory=list)
     truncation_reason: str | None = None
     tol: float = 1e-10
+    # d(P_norm, D_norm)/d(x0, y0, v) at the points `continue_family`
+    # converged, by parameters; warm starts for the special-point probes
+    _jacobians: dict[ShootingParams, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _probes: _ProbeCache | None = field(default=None, init=False, repr=False,
+                                        compare=False)
 
     @property
     def scale(self) -> np.ndarray:
@@ -100,7 +131,8 @@ def continue_family(start: SolutionRecord, spec: PotentialSpec,
     Jacobian is carried along the family: the forward-difference one of
     the initial tangent seeds the first corrector, and each corrector's
     converged Jacobian seeds the next (after a failed corrector, the last
-    converged one is reused). The corrector's line search stops after
+    converged one is reused). Each point's Jacobian is kept on the series
+    for `locate_special`'s probes. The corrector's line search stops after
     _CORRECTOR_TRIALS (two) trials. The step adapts: halved when the
     corrector fails, grown 1.3x (up to _STEP_MAX_FACTOR times the
     nominal step) after corrector successes in _GROW_MAX_ITER (five) or
@@ -126,6 +158,7 @@ def continue_family(start: SolutionRecord, spec: PotentialSpec,
         label=label, points=[SolutionRecord.from_sample(s0, spec, label)], tol=tol)
     # initial tangent: null direction of the residual Jacobian, oriented along x0
     J = fd_jacobian(u, s0, np.eye(3), scale, spec, cfg)
+    series._jacobians[p0] = J / scale
     tangent = np.linalg.svd(J)[2][2]
     if tangent[0] != 0.0 and math.copysign(1.0, tangent[0]) != direction:
         tangent = -tangent
@@ -150,6 +183,7 @@ def continue_family(start: SolutionRecord, spec: PotentialSpec,
         J = J_new
         us.append(u_new.copy())
         series.points.append(SolutionRecord.from_sample(s_new, spec, label))
+        series._jacobians[s_new.params] = J / scale
         if len(us) >= 3:
             d1 = us[-1][0] - us[-2][0]
             d0 = us[-2][0] - us[-3][0]
@@ -179,32 +213,48 @@ def _arc_params(us: np.ndarray):
 def _curve_probe(series: ContinuationSeries, cfg: IntegratorConfig):
     """(probe, S, probed): S the series points' arclength along the
     polyline, probe(s) the family point at arclength s as a record, and
-    probed every record probe made, by s.
+    probed every record this probe returned, by s.
 
-    The point lies on the hyperplane normal to its segment through the
-    polyline point at s. Its corrector starts from the quadratic in s
-    through the three converged points nearest s (series points and
-    earlier probes), projected onto that hyperplane. The corrector runs
-    under the series' own potential.
+    Known points are the series' probe cache: the series points and the
+    probes of every search run on the series since its points, label or
+    tolerance, or cfg, last changed (a change starts a fresh cache). A
+    probe at a known s returns its record without integrating. Any other
+    lies on the hyperplane normal to its segment through the polyline
+    point at s. Its corrector starts from the quadratic in s through the
+    three nearest known points, projected onto that hyperplane, and from
+    the Jacobian of the nearest (none for a series point without one),
+    runs under the series' own potential, and adds the converged point
+    to the cache.
     """
     spec = series.points[0].potential
-    us = series.u_coords()
-    S = _arc_params(us)
-    known = dict(zip(S.tolist(), us))
+    key = (tuple(series.points), series.label, series.tol, cfg)
+    cache = series._probes
+    if cache is None or cache.key != key:
+        us = series.u_coords()
+        S = _arc_params(us).tolist()
+        scale = series.scale
+        known = {}
+        for s, u, p in zip(S, us, series.points):
+            J = series._jacobians.get(p.params)
+            known[s] = (u, p, None if J is None else J * scale)
+        cache = series._probes = _ProbeCache(key, us, S, known)
+    us, S, known = cache.us, cache.S, cache.known
     probed = {}
 
     def probe(s: float) -> SolutionRecord:
-        seg = min(max(int(np.searchsorted(S, s, side="right")) - 1, 0), len(us) - 2)
-        tangent = (us[seg + 1] - us[seg]) / (S[seg + 1] - S[seg])
-        u_chord = us[seg] + (s - S[seg]) * tangent
-        near = sorted(known, key=lambda r: abs(r - s))[:3]
-        guess = sum(known[r] * math.prod((s - q) / (r - q) for q in near if q != r)
-                    for r in near)
-        guess -= ((guess - u_chord) @ tangent) * tangent
-        u, smp, _, _ = solve_on_plane(series.scale, guess, _normal_plane(tangent),
-                                      spec, cfg, series.tol, _CORRECTOR_MAX_ITER)
-        known[s] = u
-        probed[s] = SolutionRecord.from_sample(smp, spec, series.label)
+        if s not in known:
+            seg = min(max(bisect_right(S, s) - 1, 0), len(us) - 2)
+            tangent = (us[seg + 1] - us[seg]) / (S[seg + 1] - S[seg])
+            u_chord = us[seg] + (s - S[seg]) * tangent
+            near = sorted(known, key=lambda r: abs(r - s))[:3]
+            guess = sum(known[r][0] * math.prod((s - q) / (r - q) for q in near if q != r)
+                        for r in near)
+            guess -= ((guess - u_chord) @ tangent) * tangent
+            u, smp, _, J = solve_on_plane(series.scale, guess, _normal_plane(tangent),
+                                          spec, cfg, series.tol, _CORRECTOR_MAX_ITER,
+                                          jacobian=known[near[0]][2])
+            known[s] = (u, SolutionRecord.from_sample(smp, spec, series.label), J)
+        probed[s] = known[s][1]
         return probed[s]
 
     return probe, S, probed
@@ -216,15 +266,19 @@ def locate_special(series: ContinuationSeries, kind: str,
 
     kind "E-zero" needs a sign change of the energy between consecutive
     points, refined by Brent's root finder on that segment. "T-min",
-    "E-max" and "x0-min" need an interior discrete extremum, refined by
-    Brent's bounded minimizer (parabolic steps, golden-section fallback)
-    over the two segments around it; the best point probed is returned.
-    Both work over the polyline's normalized arclength s and stop once
-    the bracket in s is below _S_TOL times the polyline length (times 1
-    for shorter polylines). Each probe is a full corrector re-convergence
-    on the hyperplane normal to its segment at s, started from the curve
-    through the nearest converged points. The refined record is returned
-    and appended to the series' special_points.
+    "E-max" and "x0-min" need a strict interior discrete extremum, refined
+    by Brent's minimizer (parabolic steps, golden-section fallback) from
+    the bracket it and its two neighbours form; the best point probed is
+    returned. Both work over the polyline's normalized arclength s and
+    stop once the bracket in s is below _S_TOL times the polyline length
+    (times 1 for shorter polylines). Each probe goes through the series'
+    probe cache (`_curve_probe`): the series points and the points earlier
+    searches converged cost no integration, and a new probe is a full
+    corrector re-convergence on the hyperplane normal to its segment at s,
+    warm-started from the nearest known points. So a search's result may
+    differ, within its bracket, with the searches run on the series before
+    it. The refined record is returned and appended to the series'
+    special_points.
     """
     if kind not in SPECIAL_KINDS:
         raise ValueError(f"unknown special point kind {kind!r}")
@@ -239,16 +293,19 @@ def locate_special(series: ContinuationSeries, kind: str,
                     if E[k] == 0.0 or (E[k] > 0.0) != (E[k + 1] > 0.0)), None)
         if idx is None:
             raise SpecialPointNotFound("energy does not change sign along the series")
-        s_root = brentq(lambda s: probe(s).E, S[idx], S[idx + 1], xtol=xtol)
-        rec = probed.get(s_root) or probe(s_root)
+        rec = probe(brentq(lambda s: probe(s).E, S[idx], S[idx + 1], xtol=xtol))
     else:
         value = {"T-min": lambda r: r.T, "E-max": lambda r: -r.E,
                  "x0-min": lambda r: r.params.x0}[kind]
-        k = int(np.argmin([value(p) for p in series.points]))
-        if k == 0 or k == len(series.points) - 1:
+        vals = [value(p) for p in series.points]
+        k = int(np.argmin(vals))
+        if not 0 < k < len(vals) - 1 or not vals[k - 1] > vals[k] < vals[k + 1]:
             raise SpecialPointNotFound(f"{kind} not bracketed by interior points")
-        minimize_scalar(lambda s: value(probe(s)), bounds=(S[k - 1], S[k + 1]),
-                        method="bounded", options={"xatol": xtol})
+        # Brent's xtol is relative to |s|; scaled by the bracket's largest s it
+        # is at most xtol/3 in s, the bounded search's absolute term, so the
+        # final bracket is no wider than that search's
+        minimize_scalar(lambda s: value(probe(s)), bracket=(S[k - 1], S[k], S[k + 1]),
+                        method="brent", options={"xtol": xtol / (3.0 * S[k + 1])})
         rec = min(probed.values(), key=value)
     series.special_points.append((kind, rec))
     return rec

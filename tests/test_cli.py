@@ -310,6 +310,37 @@ class TestContinueAndAnalyze:
         assert not (tmp_path / "out").exists()
 
 
+class TestJobsStamp:
+    @pytest.mark.parametrize("command", ["solve", "continue", "analyze"])
+    def test_config_jobs_not_stamped_where_unused(self, command, alpha_record_file,
+                                                  tmp_path):
+        # these subcommands run no workers, so their outputs carry the
+        # default jobs whatever the config file holds
+        path = tmp_path / "cfg.json"
+        RunConfig(jobs=7).save(path)
+        out = tmp_path / "out"
+        args = {"solve": ["--x0", 1.0, "--y0", 0.98, "--v", 0.23,
+                          "--potential", "homogeneous:6"],
+                "continue": [alpha_record_file, "--steps", 0],
+                "analyze": [alpha_record_file]}[command]
+        assert run_cli(command, *args, "--config", path, "-o", out) == 0
+        if command == "continue":
+            line = next(l for l in (out / "series_alpha.csv").read_text().splitlines()
+                        if l.startswith("# config:"))
+            stamped = json.loads(line.partition(":")[2])
+        else:
+            stamped = json.loads(next(out.glob("*.json")).read_text())["config"]
+        assert stamped["jobs"] == RunConfig().jobs
+
+    def test_scan_stamps_config_jobs(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        RunConfig(jobs=2).save(path)
+        assert run_cli("scan", "--x0", 0.75, "--ny", 2, "--nv", 2,
+                       "--config", path, "-o", tmp_path) == 0
+        grid = json.loads((tmp_path / "grid_x0_0.75.json").read_text())
+        assert grid["config"]["jobs"] == 2
+
+
 class TestRemovedPotentialKinds:
     @pytest.mark.parametrize("route", ["flag", "config", "record"])
     def test_exits_5_naming_the_kinds(self, route, alpha_record_file, tmp_path,

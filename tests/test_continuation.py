@@ -1,5 +1,6 @@
 """Family tracing through folds and refinement of distinguished points."""
 
+import copy
 import math
 
 import numpy as np
@@ -45,6 +46,27 @@ def series_gamma():
     start = newton_solve(ShootingParams(0.68, 0.893818, 0.188131), LJ, CFG)
     return continue_family(start, LJ, CFG, step=0.01, n_steps=8, direction=-1,
                            label="gamma")
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """The residual evaluations (integrations) made while the test runs."""
+    calls = []
+
+    def count(*args):
+        calls.append(args)
+        return residuals(*args)
+
+    monkeypatch.setattr(fig8.shooting, "residuals", count)
+    monkeypatch.setattr(fig8.continuation, "residuals", count)
+    return calls
+
+
+def uncached(series):
+    """A copy of the series, its Jacobians included, with no probe cached."""
+    twin = copy.deepcopy(series)
+    twin._probes = None
+    return twin
 
 
 def solve_on_series_at(series, x0_target, branch_filter=None, tol=1e-10):
@@ -145,18 +167,6 @@ class TestContinueFamily:
 class TestCorrectorCost:
     """Integrations of the benchmark's alpha path: 12 steps of 0.015 down
     from the published first crossing, through the fold."""
-
-    @pytest.fixture
-    def counted(self, monkeypatch):
-        calls = []
-
-        def count(*args):
-            calls.append(args)
-            return residuals(*args)
-
-        monkeypatch.setattr(fig8.shooting, "residuals", count)
-        monkeypatch.setattr(fig8.continuation, "residuals", count)
-        return calls
 
     @pytest.fixture(scope="class")
     def start(self):
@@ -274,9 +284,10 @@ class TestSpecialPointSearch:
 
     SERIES = {"x0-min": "series_down", "E-max": "series_down",
               "T-min": "series_down", "E-zero": "series_gamma"}
-    # residual evaluations measured per refinement (the golden-section
-    # oracle makes 257, 270, 257 and 30), plus a 25% margin
-    BUDGET = {"x0-min": 42, "E-max": 52, "T-min": 42, "E-zero": 15}
+    # residual evaluations measured per refinement on a series with no
+    # probe cached (the golden-section oracle makes 257, 270, 257 and 30),
+    # plus a 25% margin
+    BUDGET = {"x0-min": 41, "E-max": 31, "T-min": 35, "E-zero": 9}
     MARGIN = 1.25
 
     @pytest.fixture(scope="class")
@@ -301,13 +312,70 @@ class TestSpecialPointSearch:
         assert refined["T-min"].T <= min(p.T for p in pts) + 1e-9
 
     @pytest.mark.parametrize("kind", SPECIAL_KINDS)
-    def test_integration_budget(self, request, monkeypatch, kind):
-        series = request.getfixturevalue(self.SERIES[kind])
-        calls = []
-        monkeypatch.setattr(fig8.shooting, "residuals",
-                            lambda *a: calls.append(a) or residuals(*a))
+    def test_integration_budget(self, request, counted, kind):
+        # on a copy with an empty probe cache: `refined` filled the fixture's
+        series = uncached(request.getfixturevalue(self.SERIES[kind]))
         locate_special(series, kind, CFG)
-        assert len(calls) <= self.MARGIN * self.BUDGET[kind]
+        assert len(counted) <= self.MARGIN * self.BUDGET[kind]
+
+
+class TestProbeCache:
+    """Every search on a series shares the series' probe cache."""
+
+    @pytest.mark.parametrize("kind", SPECIAL_KINDS)
+    def test_bracket_points_cost_no_integration(self, request, counted,
+                                                monkeypatch, kind):
+        series = uncached(request.getfixturevalue(TestSpecialPointSearch.SERIES[kind]))
+        costs = []
+        curve_probe = fig8.continuation._curve_probe
+
+        def logged(*args):
+            probe, S, probed = curve_probe(*args)
+
+            def timed(s):
+                n = len(counted)
+                rec = probe(s)
+                costs.append((s, len(counted) - n))
+                return rec
+            return timed, S, probed
+
+        monkeypatch.setattr(fig8.continuation, "_curve_probe", logged)
+        locate_special(series, kind, CFG)
+        # brentq opens on the segment's two ends, Brent's minimizer on the
+        # discrete extremum and its two neighbours: all series points
+        opening = costs[:2 if kind == "E-zero" else 3]
+        S = _arc_params(series.u_coords()).tolist()
+        assert all(s in S and n == 0 for s, n in opening)
+        assert sum(n for _, n in costs) > 0
+
+    def test_repeated_search_is_free(self, series_down, counted):
+        series = uncached(series_down)
+        first = locate_special(series, "x0-min", CFG)
+        n = len(counted)
+        assert locate_special(series, "x0-min", CFG) == first
+        assert len(counted) == n
+
+    def test_earlier_probes_make_a_search_cheaper(self, series_down, counted):
+        fresh, shared = uncached(series_down), uncached(series_down)
+        locate_special(fresh, "T-min", CFG)
+        alone = len(counted)
+        locate_special(shared, "x0-min", CFG)
+        n = len(counted)
+        locate_special(shared, "T-min", CFG)
+        assert len(counted) - n < alone
+
+    @pytest.mark.parametrize("change", ["tol", "cfg"])
+    def test_changed_settings_reprobe(self, series_gamma, counted, change):
+        series = uncached(series_gamma)
+        locate_special(series, "E-zero", CFG)
+        cfg = CFG
+        if change == "tol":
+            series.tol = 1e-11
+        else:
+            cfg = IntegratorConfig(rel_tol=1e-12)
+        n = len(counted)
+        locate_special(series, "E-zero", cfg)
+        assert len(counted) > n
 
 
 class TestSeriesExport:
