@@ -32,11 +32,9 @@ from .continuation import continue_family, locate_special
 from .dynamics import (PotentialSpec, ShootingParams, isosceles_state,
                        pair_force, pair_potential, total_energy,
                        angular_momentum, linear_momentum)
-from .integrate import (IntegrationError, IntegratorConfig, integrate,
-                        integrate_to_collinear)
-from .shooting import (NewtonDivergence, SolverError, find_seeds, newton_solve,
-                       record_from_params, residuals, scan_grid,
-                       solution_record_from_json, solve_on_plane)
+from .integrate import IntegratorConfig, integrate, integrate_to_collinear
+from .shooting import (find_seeds, newton_solve, record_from_params, residuals,
+                       scan_grid, solution_record_from_json, solve_on_plane)
 
 LJ = PotentialSpec.lj()
 H6 = PotentialSpec.homogeneous(6)
@@ -90,6 +88,9 @@ COLLISION_CASES = ([("beta", CITED_WITH_E["beta"][0][:3], 8),
 
 # directions (x0, v) of a solve at fixed y0, in start-scaled coordinates
 FIXED_Y0 = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+
+# where criterion 9 samples both alpha branches
+ASYMPTOTIC_X0 = (2.0, 2.05, 2.1)
 
 ALPHA_PRIME = (0.553223, 0.615805)      # second crossing at x0 = 0.75
 ALPHA_CROSSING = (0.725966, 0.522742)
@@ -156,16 +157,10 @@ class ReproduceContext:
 
     @cached_property
     def alpha_minus(self):
-        """Through the fold and out the gourd branch to x0 = 1.6."""
+        """Through the fold and out the gourd branch to x0 = 2.13."""
         return self._register_series(continue_family(
             self.alpha_record, LJ, self.cfg, step=0.015, n_steps=220,
-            direction=-1, x0_limits=(0.6, 1.62), label="alpha"))
-
-    @cached_property
-    def alpha_plus(self):
-        return self._register_series(continue_family(
-            self.alpha_record, LJ, self.cfg, step=0.02, n_steps=120,
-            direction=1, x0_limits=(0.7, 2.13), label="alpha"))
+            direction=-1, x0_limits=(0.6, 2.13), label="alpha"))
 
     @cached_property
     def gamma_minus(self):
@@ -177,72 +172,38 @@ class ReproduceContext:
 
     # -- branch samples at exact x0 targets ------------------------------
 
+    def _solve_at_targets(self, seed_at):
+        """Newton-solve at each of ASYMPTOTIC_X0 from seed_at(x0) and
+        register the solutions."""
+        return [self.register(newton_solve(seed_at(x0), LJ, self.cfg, tol=1e-10))
+                for x0 in ASYMPTOTIC_X0]
+
     @cached_property
     def upper_asymptotic_points(self):
-        """Solve at x0 = 2, 2.05, 2.1 from a secant along x0 through the two
-        series points that bracket the target (past the tail, the last two)."""
-        pts = sorted((p.params for p in self.alpha_plus.points), key=lambda p: p.x0)
-        if len(pts) < 2:
-            raise RuntimeError("no upper-branch points to extrapolate from")
-        out = []
-        for x0t in (2.0, 2.05, 2.1):
-            a, b = next(((p, q) for p, q in zip(pts, pts[1:]) if p.x0 <= x0t <= q.x0),
-                        pts[-2:])
-            w = (x0t - a.x0) / (b.x0 - a.x0)
-            seed = ShootingParams(x0t, a.y0 + w * (b.y0 - a.y0), a.v + w * (b.v - a.v))
-            out.append(self.register(newton_solve(seed, LJ, self.cfg, tol=1e-10)))
-        return out
+        """The upper alpha branch, seeded by the homogeneous figure-eight
+        scaled to each target: under -1/r^6, (x0, y0, v) -> (lx0, ly0, v/l^3)
+        maps solutions onto solutions, and the 1/r^12 term fades as x0^-6."""
+        h = self.homog_record.params
+        return self._solve_at_targets(
+            lambda x0: ShootingParams(x0, x0 / h.x0 * h.y0, h.v * (h.x0 / x0) ** 3))
 
     @cached_property
     def lower_asymptotic_points(self):
-        """Walk the gourd branch from the series tail out to x0 = 2.1.
-
-        Out here the residual noise floor (trajectory sensitivity times
-        integrator tolerance at event times past t = 50) reaches the
-        1e-7..1e-6 range, so the walk converges to 1e-6 and accepts a
-        stalled best iterate below 3e-6 when it stays in the branch's
-        parameter band. That still pins the parameters orders of
-        magnitude tighter than the energy comparison needs.
-        """
+        """The lower (gourd) alpha branch, seeded by a secant along x0
+        through the two `alpha_minus` points that bracket the target
+        (past the tail, the last two)."""
         pts = sorted((p.params for p in self.alpha_minus.points if p.params.y0 < 0.56),
                      key=lambda p: p.x0)
         if len(pts) < 2:
-            raise RuntimeError("no gourd-branch tail to extrapolate from")
-        b = pts[-1]
-        a = next((p for p in reversed(pts) if p.x0 <= b.x0 - 0.01), pts[-2])
-        targets = [2.0, 2.05, 2.1]
-        out = []
-        dx = 0.025
-        while targets:
-            x0t = min(b.x0 + dx, targets[0])
-            # v decays like a power of x0 along this branch; seed it that
-            # way (linear extrapolation overshoots into neighboring
-            # families in the crowded low-v region)
-            p_exp = math.log(b.v / a.v) / math.log(b.x0 / a.x0)
-            w = (x0t - a.x0) / (b.x0 - a.x0)
-            seed = ShootingParams(x0t, a.y0 + w * (b.y0 - a.y0),
-                                  b.v * (x0t / b.x0) ** p_exp)
-            rec = None
-            try:
-                rec = newton_solve(seed, LJ, self.cfg, tol=1e-6, max_iter=25)
-            except NewtonDivergence as exc:
-                if exc.best_norm <= 3e-6:
-                    rec = record_from_params(exc.best_params, LJ, self.cfg)
-            except (SolverError, IntegrationError):
-                pass
-            if rec is None or not (0.47 < rec.params.y0 < 0.56 and rec.E > 0):
-                dx *= 0.5
-                if dx < 1e-3:
-                    raise RuntimeError(
-                        f"walk lost the gourd branch near x0={x0t}")
-                continue
-            self.register(rec)
-            a, b = b, rec.params
-            dx = min(dx * 1.4, 0.05)
-            if x0t == targets[0]:
-                out.append(rec)
-                targets.pop(0)
-        return out
+            raise RuntimeError("no gourd-branch points to extrapolate from")
+
+        def secant(x0):
+            a, b = next(((p, q) for p, q in zip(pts, pts[1:]) if p.x0 <= x0 <= q.x0),
+                        pts[-2:])
+            w = (x0 - a.x0) / (b.x0 - a.x0)
+            return ShootingParams(x0, a.y0 + w * (b.y0 - a.y0), a.v + w * (b.v - a.v))
+
+        return self._solve_at_targets(secant)
 
     # -- grids -----------------------------------------------------------
 
@@ -480,6 +441,15 @@ def c08_energy_extrema(ctx, check):
           f"at x0 = {emax.params.x0:.6f} vs 0.686512 +- 1e-3")
 
 
+def homogeneous_gaps(records, homog):
+    """How far each record's E*x0^6 lies below the homogeneous solution's,
+    and the exponent p of the least-squares fit gap ~ x0^-p."""
+    e_h = homog.E * homog.params.x0 ** 6
+    x0 = np.array([r.params.x0 for r in records])
+    gaps = np.array([e_h - r.E * r.params.x0 ** 6 for r in records])
+    return gaps, -float(np.polyfit(np.log(x0), np.log(gaps), 1)[0])
+
+
 @criterion(9, "large-x0 energy asymptotics on both branches")
 def c09_asymptotics(ctx, check):
     for branch, points, target in [("upper", ctx.upper_asymptotic_points, 0.047),
@@ -489,6 +459,16 @@ def c09_asymptotics(ctx, check):
             check(abs(val - target) <= 0.1 * target,
                   f"{branch} x0={rec.params.x0}: E*x0^6 = {val:.5f} "
                   f"vs {target} +- 10%")
+    gaps, p = homogeneous_gaps(ctx.upper_asymptotic_points, ctx.homog_record)
+    check.note("upper E*x0^6 below the homogeneous figure-eight's: "
+               + ", ".join(f"{g:.2e}" for g in gaps)
+               + f"; fitted gap ~ x0^-{p:.4f} (the 1/r^12 term fades as x0^-6)")
+    lower = ctx.lower_asymptotic_points
+    check.note("lower branch is no scaled homogeneous orbit: y0 = "
+               + ", ".join(f"{r.params.y0:.4f}" for r in lower)
+               + " -> 0.50 and v*x0^3 = "
+               + ", ".join(f"{r.params.v * r.params.x0 ** 3:.4f}" for r in lower)
+               + " keeps growing")
 
 
 @criterion(10, "minimum-period bound")

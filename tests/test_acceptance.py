@@ -74,9 +74,21 @@ def test_criterion_08_energy_extrema(ctx):
     assert run_criterion(ctx, rep.c08_energy_extrema).passed
 
 
-@pytest.mark.slow
 def test_criterion_09_asymptotics(ctx):
     assert run_criterion(ctx, rep.c09_asymptotics).passed
+
+
+def test_criterion_09_records_are_converged_solutions(ctx):
+    """Both branches are sampled at exactly the target x0 by the one Newton
+    at its 1e-10 tolerance, and the upper branch approaches the homogeneous
+    figure-eight as x0^-6."""
+    upper, lower = ctx.upper_asymptotic_points, ctx.lower_asymptotic_points
+    for records in (upper, lower):
+        assert [r.params.x0 for r in records] == [2.0, 2.05, 2.1]
+    for rec in upper + lower:
+        assert rec.residual_norm <= 1e-10, rec
+    _, p = rep.homogeneous_gaps(upper, ctx.homog_record)
+    assert abs(p - 6.0) <= 0.1
 
 
 def test_criterion_10_period_bound(ctx):
